@@ -357,18 +357,7 @@ def _cmd_report(cfg: RunConfig) -> int:
     top = records[: cfg.top_k]
     source_meta = reportio.read_meta_line(cfg.input) or reportio.meta_line("unknown")
     lines = [",".join(reportio.SUMMARY_COLUMNS)]
-    for r in top:
-        lines.append(
-            ",".join(
-                [
-                    r["id"],
-                    *[repr(r[c]) for c in reportio.SUMMARY_COLUMNS[1:8]],
-                    str(r["rank_wapdi"]),
-                    str(r["rank_logpred"]),
-                    ";".join(r["flags"]),
-                ]
-            )
-        )
+    lines += [reportio.format_summary_row(r) for r in top]
     text = "\n".join(lines)
     print(text)
     if cfg.out:

@@ -5,13 +5,21 @@ Everything here consumes an S x N matrix of pointwise log-likelihood values
 stay in the log domain; linear-domain likelihoods are never materialized at
 full scale, so columns sitting at -1000 nats are as safe as columns at -1.
 
-Columns are canonicalized by sorting before any reduction, which makes every
-estimator bitwise-invariant under permutation of the posterior draws.
+One row kernel computes every per-column quantity. It copies a block of
+columns into a C-ordered (columns x draws) array, sorts each row and shifts
+it by its max. Every moment is then a reduction along the contiguous last
+axis, which numpy sums in the same pairwise order as a lone 1-D column.
+Sorting makes each row independent of the draw order, so every estimator is
+bitwise-invariant under permutation of the posterior draws, and the
+single-column functions (the same kernel on one column) agree bitwise with
+``summarize``. ``summarize`` runs the kernel over blocks of about
+``BLOCK_CELLS`` cells; degenerate columns are handled by masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +51,12 @@ NEAR_SINGULAR_EPS = 1e-8
 FLAG_ZERO_VARIANCE = "zero_variance"
 FLAG_NEAR_SINGULAR = "near_singular_log_mu"
 FLAG_NONFINITE = "nonfinite_loglik"
+# Order in which flags are listed on a summary.
+_FLAGS = (FLAG_NONFINITE, FLAG_ZERO_VARIANCE, FLAG_NEAR_SINGULAR)
+
+# Cells per kernel call in ``summarize``: keeps each of the kernel's
+# temporaries at a few MB however large the matrix is.
+BLOCK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -68,18 +82,19 @@ class LogLikMatrix:
             raise ValueError(f"need at least 2 posterior draws, got {n_draws}")
         if n_points < 1:
             raise ValueError("need at least 1 datapoint column")
-        if np.isnan(values).any():
-            s, n = np.argwhere(np.isnan(values))[0]
-            raise ValueError(f"NaN log-likelihood at draw {s}, datapoint {n}")
-        if np.isposinf(values).any():
-            s, n = np.argwhere(np.isposinf(values))[0]
-            raise ValueError(f"+inf log-likelihood at draw {s}, datapoint {n}")
-        if not allow_degenerate and np.isneginf(values).any():
-            s, n = np.argwhere(np.isneginf(values))[0]
-            raise ValueError(
-                f"-inf log-likelihood at draw {s}, datapoint {n} "
-                "(zero-likelihood draw; pass allow_degenerate=True to keep it)"
-            )
+        if not np.isfinite(values).all():
+            if np.isnan(values).any():
+                s, n = np.argwhere(np.isnan(values))[0]
+                raise ValueError(f"NaN log-likelihood at draw {s}, datapoint {n}")
+            if np.isposinf(values).any():
+                s, n = np.argwhere(np.isposinf(values))[0]
+                raise ValueError(f"+inf log-likelihood at draw {s}, datapoint {n}")
+            if not allow_degenerate:
+                s, n = np.argwhere(np.isneginf(values))[0]
+                raise ValueError(
+                    f"-inf log-likelihood at draw {s}, datapoint {n} "
+                    "(zero-likelihood draw; pass allow_degenerate=True to keep it)"
+                )
         if datapoint_ids is None:
             datapoint_ids = tuple(str(j) for j in range(n_points))
         else:
@@ -149,6 +164,74 @@ class GroupStats:
     count: int
 
 
+def _var_rows(rows: np.ndarray, row_mean: np.ndarray) -> np.ndarray:
+    # Sample variance (S-1 divisor) of each row: np.var(ddof=1)'s arithmetic,
+    # without its warning for S = 1 (the result is then NaN and unused).
+    d = rows - row_mean[:, None]
+    d *= d
+    return d.sum(axis=1) / (rows.shape[1] - 1)
+
+
+def _dispersion_rows(block: np.ndarray, eps: float) -> dict[str, np.ndarray]:
+    """Every per-column quantity of an S x n block, as n-arrays.
+
+    Keys are the ``PointwiseSummary`` fields plus one boolean mask per flag.
+    """
+    # np.array always copies (a one-column block would otherwise come back
+    # as a view, and the in-place sort would reorder the caller's data).
+    rows = np.array(block.T, order="C")
+    rows.sort(axis=1)
+    top = rows[:, -1]
+    nonfinite = np.isneginf(rows[:, 0])
+    # An all -inf row is shifted by 0 instead of its max: it stays -inf, its
+    # likelihoods are 0, so log_mu, mu_log and log_sigma2 come out -inf.
+    m = np.where(np.isneginf(top), 0.0, top)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows -= m[:, None]
+        lik = np.exp(rows)
+        mean_lik = lik.mean(axis=1)
+        log_mu = m + np.log(mean_lik)
+        mean_shifted = rows.mean(axis=1)
+        sigma2_log = _var_rows(rows, mean_shifted)
+        var_lik = _var_rows(lik, mean_lik)
+        zero_variance = var_lik == 0.0
+        log_sigma2 = np.where(zero_variance, -np.inf, 2.0 * m + np.log(var_lik))
+        small = np.abs(log_mu) < eps
+        # Rows with a -inf entry never get the near-singular flag; their
+        # sigma2_log, and so their wapdi, is already NaN.
+        wapdi_val = np.where(small, np.nan, sigma2_log / log_mu)
+        return {
+            "log_mu": log_mu,
+            "mu_log": m + mean_shifted,
+            "log_sigma2": log_sigma2,
+            "sigma2_log": sigma2_log,
+            "wapdi": wapdi_val,
+            "pdi_ratio_log": log_sigma2 - log_mu,
+            "waic_term": -log_mu + sigma2_log,
+            FLAG_NONFINITE: nonfinite,
+            FLAG_ZERO_VARIANCE: zero_variance,
+            FLAG_NEAR_SINGULAR: small & ~nonfinite,
+        }
+
+
+_FIELDS = tuple(f.name for f in fields(PointwiseSummary) if f.name != "flags")
+_NAN = float("nan")
+
+
+def _summaries(k: dict[str, np.ndarray]) -> list[PointwiseSummary]:
+    values = zip(*(k[f].tolist() for f in _FIELDS))
+    hits = zip(*(k[f].tolist() for f in _FLAGS))
+    out = []
+    for vals, hit in zip(values, hits):
+        flags = tuple(f for f, on in zip(_FLAGS, hit) if on)
+        if flags:
+            # NaN only appears in flagged rows; one shared NaN object lets
+            # equal summaries compare equal.
+            vals = [_NAN if v != v else v for v in vals]
+        out.append(PointwiseSummary(*vals, flags))
+    return out
+
+
 def _as_column(column, min_draws: int = 1) -> np.ndarray:
     col = np.asarray(column, dtype=np.float64)
     if col.ndim != 1:
@@ -161,7 +244,12 @@ def _as_column(column, min_draws: int = 1) -> np.ndarray:
         raise ValueError("NaN in log-likelihood column")
     if not np.isfinite(col).all():
         raise ValueError("non-finite log-likelihood in column")
-    return np.sort(col)
+    return col
+
+
+def _column_field(column, field: str, min_draws: int = 2, eps=NEAR_SINGULAR_EPS):
+    col = _as_column(column, min_draws)
+    return float(_dispersion_rows(col[:, None], eps)[field][0])
 
 
 def log_posterior_predictive(column) -> float:
@@ -170,9 +258,7 @@ def log_posterior_predictive(column) -> float:
     This is log mu(n): the log posterior predictive density of datapoint n
     estimated from S draws. Exact for constant columns by construction.
     """
-    col = _as_column(column)
-    m = col[-1]
-    return float(m + np.log(np.mean(np.exp(col - m))))
+    return _column_field(column, "log_mu", min_draws=1)
 
 
 def log_posterior_predictive_mcse(column) -> float:
@@ -182,22 +268,19 @@ def log_posterior_predictive_mcse(column) -> float:
     (mean(w) * sqrt(S)) with w = exp(column - max). Only meaningful when the
     draws are independent (exact samplers); MCMC draws need batching instead.
     """
-    col = _as_column(column, min_draws=2)
+    col = np.sort(_as_column(column, min_draws=2))
     w = np.exp(col - col[-1])
     return float(np.std(w, ddof=1) / (np.mean(w) * np.sqrt(col.size)))
 
 
 def mean_log_lik(column) -> float:
     """Posterior mean of the log-likelihood, mu_log(n)."""
-    col = _as_column(column)
-    m = col[-1]
-    return float(m + np.mean(col - m))
+    return _column_field(column, "mu_log", min_draws=1)
 
 
 def var_log_lik(column) -> float:
     """Sample variance (S-1 divisor) of the log-likelihood, sigma2_log(n)."""
-    col = _as_column(column, min_draws=2)
-    return float(np.var(col - col[-1], ddof=1))
+    return _column_field(column, "sigma2_log")
 
 
 def log_var_lik(column) -> float:
@@ -207,12 +290,7 @@ def log_var_lik(column) -> float:
     2m + log(var(exp(column - m))). Returns -inf (the degenerate marker) when
     the shifted variance is exactly zero, i.e. all draws agree.
     """
-    col = _as_column(column, min_draws=2)
-    m = col[-1]
-    v = np.var(np.exp(col - m), ddof=1)
-    if v == 0.0:
-        return float("-inf")
-    return float(2.0 * m + np.log(v))
+    return _column_field(column, "log_sigma2")
 
 
 def wapdi(column, *, eps: float = NEAR_SINGULAR_EPS) -> float:
@@ -222,14 +300,7 @@ def wapdi(column, *, eps: float = NEAR_SINGULAR_EPS) -> float:
     small magnitudes mean a well-modeled point. Returns NaN when |log mu| < ``eps`` -- a
     near-singular denominator is flagged rather than amplified.
     """
-    col = _as_column(column, min_draws=2)
-    return _wapdi_from(var_log_lik(col), log_posterior_predictive(col), eps)
-
-
-def _wapdi_from(sigma2_log: float, log_mu: float, eps: float) -> float:
-    if abs(log_mu) < eps:
-        return float("nan")
-    return sigma2_log / log_mu
+    return _column_field(column, "wapdi", eps=eps)
 
 
 def pdi_ratio(column) -> float:
@@ -237,8 +308,7 @@ def pdi_ratio(column) -> float:
 
     The degenerate -inf marker from ``log_var_lik`` propagates through.
     """
-    col = _as_column(column, min_draws=2)
-    return log_var_lik(col) - log_posterior_predictive(col)
+    return _column_field(column, "pdi_ratio_log")
 
 
 def pdi_ratio_linear(column) -> float:
@@ -258,77 +328,7 @@ def summarize_column(
         raise ValueError("NaN or +inf in log-likelihood column")
     if not allow_degenerate and np.isneginf(col).any():
         raise ValueError("-inf in log-likelihood column (allow_degenerate=False)")
-    col = np.sort(col)
-    if np.isneginf(col).any():
-        return _degenerate_summary(col, eps)
-
-    m = col[-1]
-    shifted = col - m
-    log_mu = float(m + np.log(np.mean(np.exp(shifted))))
-    mu_log = float(m + np.mean(shifted))
-    sigma2_log = float(np.var(shifted, ddof=1))
-
-    flags: list[str] = []
-    v_lin = np.var(np.exp(shifted), ddof=1)
-    if v_lin == 0.0:
-        log_sigma2 = float("-inf")
-        flags.append(FLAG_ZERO_VARIANCE)
-    else:
-        log_sigma2 = float(2.0 * m + np.log(v_lin))
-
-    if abs(log_mu) < eps:
-        wapdi_val = float("nan")
-        flags.append(FLAG_NEAR_SINGULAR)
-    else:
-        wapdi_val = sigma2_log / log_mu
-
-    return PointwiseSummary(
-        log_mu=log_mu,
-        mu_log=mu_log,
-        log_sigma2=log_sigma2,
-        sigma2_log=sigma2_log,
-        wapdi=wapdi_val,
-        pdi_ratio_log=log_sigma2 - log_mu,
-        waic_term=-log_mu + sigma2_log,
-        flags=tuple(flags),
-    )
-
-
-def _degenerate_summary(col: np.ndarray, eps: float) -> PointwiseSummary:
-    # Opt-in path for columns holding -inf entries: the linear-domain moments
-    # still exist (exp(-inf) = 0) but log-domain variance does not.
-    nan = float("nan")
-    m = col[-1]
-    if np.isneginf(m):
-        return PointwiseSummary(
-            log_mu=float("-inf"),
-            mu_log=float("-inf"),
-            log_sigma2=float("-inf"),
-            sigma2_log=nan,
-            wapdi=nan,
-            pdi_ratio_log=nan,
-            waic_term=nan,
-            flags=(FLAG_NONFINITE, FLAG_ZERO_VARIANCE),
-        )
-    w = np.exp(col - m)
-    log_mu = float(m + np.log(np.mean(w)))
-    v_lin = np.var(w, ddof=1)
-    flags = [FLAG_NONFINITE]
-    if v_lin == 0.0:
-        log_sigma2 = float("-inf")
-        flags.append(FLAG_ZERO_VARIANCE)
-    else:
-        log_sigma2 = float(2.0 * m + np.log(v_lin))
-    return PointwiseSummary(
-        log_mu=log_mu,
-        mu_log=float("-inf"),
-        log_sigma2=log_sigma2,
-        sigma2_log=nan,
-        wapdi=nan,
-        pdi_ratio_log=log_sigma2 - log_mu,
-        waic_term=nan,
-        flags=tuple(flags),
-    )
+    return _summaries(_dispersion_rows(col[:, None], eps))[0]
 
 
 def summarize(
@@ -339,12 +339,12 @@ def summarize(
     Columns are independent; degeneracies are recorded per row via flags and
     never abort the rest of the matrix.
     """
-    return [
-        summarize_column(
-            matrix.values[:, j], eps=eps, allow_degenerate=matrix.allow_degenerate
-        )
-        for j in range(matrix.point_count)
-    ]
+    values = matrix.values
+    step = max(1, BLOCK_CELLS // matrix.draw_count)
+    out: list[PointwiseSummary] = []
+    for start in range(0, matrix.point_count, step):
+        out += _summaries(_dispersion_rows(values[:, start : start + step], eps))
+    return out
 
 
 def waic(matrix: LogLikMatrix) -> tuple[float, np.ndarray]:
@@ -355,22 +355,6 @@ def waic(matrix: LogLikMatrix) -> tuple[float, np.ndarray]:
     """
     terms = np.array([s.waic_term for s in summarize(matrix)])
     return float(np.mean(terms)), terms
-
-
-def _rank_keys(summaries, ids):
-    # NaN (flagged) entries sort after every finite value so ranks stay a
-    # permutation of 1..N.
-    def wapdi_key(i):
-        s = summaries[i]
-        bad = 1 if np.isnan(s.wapdi) else 0
-        return (bad, 0.0 if bad else s.wapdi, s.log_mu, ids[i])
-
-    def log_mu_key(i):
-        s = summaries[i]
-        w_bad = 1 if np.isnan(s.wapdi) else 0
-        return (s.log_mu, 0.0 if w_bad else s.wapdi, ids[i])
-
-    return wapdi_key, log_mu_key
 
 
 def rank_report(
@@ -387,15 +371,22 @@ def rank_report(
     ids = [str(i) for i in ids]
     if len(summaries) != len(ids):
         raise ValueError(f"{len(summaries)} summaries for {len(ids)} ids")
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    counts = Counter(ids)
+    if len(counts) != len(ids):
+        dupes = sorted(i for i, c in counts.items() if c > 1)
         raise ValueError(f"duplicate datapoint ids: {', '.join(dupes)}")
 
-    wapdi_key, log_mu_key = _rank_keys(summaries, ids)
-    order_w = sorted(range(len(ids)), key=wapdi_key)
-    order_m = sorted(range(len(ids)), key=log_mu_key)
-    rank_w = {i: r + 1 for r, i in enumerate(order_w)}
-    rank_m = {i: r + 1 for r, i in enumerate(order_m)}
+    id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
+    log_mu = np.array([s.log_mu for s in summaries], dtype=np.float64)
+    wapdi_val = np.array([s.wapdi for s in summaries], dtype=np.float64)
+    # NaN (flagged) entries sort after every finite value so ranks stay a
+    # permutation of 1..N; in the log_mu ranking they tie-break as 0.
+    flagged = np.isnan(wapdi_val)
+    wapdi_key = np.where(flagged, 0.0, wapdi_val)
+    order_w = np.lexsort((id_rank, log_mu, wapdi_key, flagged))
+    order_m = np.lexsort((id_rank, wapdi_key, log_mu))
+    rank_w = (np.argsort(order_w) + 1).tolist()
+    rank_m = (np.argsort(order_m) + 1).tolist()
 
     rows = tuple(
         ReportRow(
@@ -404,7 +395,7 @@ def rank_report(
             rank_wapdi=rank_w[i],
             rank_log_mu=rank_m[i],
         )
-        for i in order_w
+        for i in order_w.tolist()
     )
     waic_scalar = float(np.mean([s.waic_term for s in summaries]))
     labels = dict(group_labels) if group_labels is not None else None

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dispersion import LogLikMatrix, MismatchReport
+from .dispersion import LogLikMatrix, MismatchReport, ReportRow
 from .models import VoteTable
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "meta_line",
     "read_meta_line",
     "read_loglik_csv",
+    "format_summary_row",
     "write_summary_csv",
     "read_summary_csv",
     "write_summary_ndjson",
@@ -117,27 +118,39 @@ def read_meta_line(path) -> str | None:
     return first.rstrip("\n") if first.startswith("# pdikit") else None
 
 
+def format_summary_row(record: dict) -> str:
+    """One summary CSV line from a record keyed by ``SUMMARY_COLUMNS``."""
+    return ",".join(
+        [
+            record["id"],
+            *[_fmt(record[c]) for c in SUMMARY_COLUMNS[1:8]],
+            str(record["rank_wapdi"]),
+            str(record["rank_logpred"]),
+            ";".join(record["flags"]),
+        ]
+    )
+
+
+def _summary_record(row: ReportRow) -> dict:
+    s = row.summary
+    return {
+        "id": row.datapoint_id,
+        "log_mu": s.log_mu,
+        "mu_log": s.mu_log,
+        "sigma2_log": s.sigma2_log,
+        "log_sigma2": s.log_sigma2,
+        "wapdi": s.wapdi,
+        "pdi_log": s.pdi_ratio_log,
+        "waic_term": s.waic_term,
+        "rank_wapdi": row.rank_wapdi,
+        "rank_logpred": row.rank_log_mu,
+        "flags": list(s.flags),
+    }
+
+
 def write_summary_csv(path, report: MismatchReport, seed: int) -> None:
     lines = [meta_line(seed), ",".join(SUMMARY_COLUMNS)]
-    for row in report.rows:
-        s = row.summary
-        lines.append(
-            ",".join(
-                [
-                    row.datapoint_id,
-                    _fmt(s.log_mu),
-                    _fmt(s.mu_log),
-                    _fmt(s.sigma2_log),
-                    _fmt(s.log_sigma2),
-                    _fmt(s.wapdi),
-                    _fmt(s.pdi_ratio_log),
-                    _fmt(s.waic_term),
-                    str(row.rank_wapdi),
-                    str(row.rank_log_mu),
-                    ";".join(s.flags),
-                ]
-            )
-        )
+    lines += [format_summary_row(_summary_record(row)) for row in report.rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -172,23 +185,7 @@ def read_summary_csv(path) -> list[dict]:
 
 def write_summary_ndjson(path, report: MismatchReport, seed: int) -> None:
     records = [{"pdikit": __version__, "seed": seed, "waic": report.waic}]
-    for row in report.rows:
-        s = row.summary
-        records.append(
-            {
-                "id": row.datapoint_id,
-                "log_mu": s.log_mu,
-                "mu_log": s.mu_log,
-                "sigma2_log": s.sigma2_log,
-                "log_sigma2": s.log_sigma2,
-                "wapdi": s.wapdi,
-                "pdi_log": s.pdi_ratio_log,
-                "waic_term": s.waic_term,
-                "rank_wapdi": row.rank_wapdi,
-                "rank_logpred": row.rank_log_mu,
-                "flags": list(s.flags),
-            }
-        )
+    records += [_summary_record(row) for row in report.rows]
     text = "\n".join(json.dumps(r, sort_keys=True) for r in records)
     Path(path).write_text(text + "\n", encoding="utf-8")
 

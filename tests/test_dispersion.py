@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdikit as pk
+from pdikit import dispersion
 from pdikit.dispersion import FLAG_NEAR_SINGULAR, FLAG_NONFINITE, FLAG_ZERO_VARIANCE
 
 LOG_2_4 = np.log([0.2, 0.4])
@@ -303,6 +304,66 @@ class TestMatrixAndSummaries:
         assert s[0].mu_log == -np.inf
         assert np.isfinite(s[0].log_mu)  # two finite draws still average
         assert s[1].flags == ()
+
+    def test_all_neginf_column(self):
+        # Third column: one -inf draw and mean likelihood 1, so log mu ~ 0; it
+        # is flagged nonfinite only, not near-singular.
+        lin = math.log(1.5)
+        vals = np.array(
+            [[-np.inf, -1.0, -np.inf], [-np.inf, -1.5, lin], [-np.inf, -2.0, lin]]
+        )
+        summaries = pk.summarize(pk.LogLikMatrix(vals, allow_degenerate=True))
+        assert summaries[2].flags == (FLAG_NONFINITE,)
+        s = summaries[0]
+        assert s.log_mu == -np.inf
+        assert s.mu_log == -np.inf
+        assert s.log_sigma2 == -np.inf
+        for value in (s.sigma2_log, s.wapdi, s.pdi_ratio_log, s.waic_term):
+            assert math.isnan(value)
+        assert s.flags == (FLAG_NONFINITE, FLAG_ZERO_VARIANCE)
+        assert pk.summarize_column(vals[:, 0], allow_degenerate=True) == s
+
+    def test_blocks_match_single_columns(self):
+        # Constant and partly -inf columns on both sides of each block seam.
+        S = 512
+        step = dispersion.BLOCK_CELLS // S
+        rng = np.random.default_rng(11)
+        vals = rng.normal(-4.0, 1.5, size=(S, 3 * step + 5))
+        vals[:, step - 1] = -2.25
+        vals[::3, step] = -np.inf
+        vals[::5, 2 * step - 1] = -np.inf
+        vals[:, 2 * step] = -0.75
+        m = pk.LogLikMatrix(vals, allow_degenerate=True)
+        blocked = pk.summarize(m)
+        single = [
+            pk.summarize_column(vals[:, j], allow_degenerate=True)
+            for j in range(vals.shape[1])
+        ]
+        assert blocked == single
+        assert FLAG_NONFINITE in blocked[step].flags
+        assert FLAG_ZERO_VARIANCE in blocked[2 * step].flags
+        permuted = pk.LogLikMatrix(vals[rng.permutation(S)], allow_degenerate=True)
+        assert pk.summarize(permuted) == blocked
+
+    def test_caller_array_unchanged(self):
+        col = np.array([-1.0, -3.0, -2.0, -0.5])
+        before = col.copy()
+        for fn in (
+            pk.log_posterior_predictive,
+            pk.log_posterior_predictive_mcse,
+            pk.mean_log_lik,
+            pk.var_log_lik,
+            pk.log_var_lik,
+            pk.wapdi,
+            pk.pdi_ratio,
+            pk.pdi_ratio_linear,
+            pk.summarize_column,
+        ):
+            fn(col)
+            assert np.array_equal(col, before), fn.__name__
+        m = pk.LogLikMatrix(col[:, None])
+        assert pk.summarize(m) == [pk.summarize_column(before)]
+        assert np.array_equal(m.values[:, 0], before)
 
     def test_waic_2x1_fixture(self):
         m = pk.LogLikMatrix(LOG_2_4[:, None])
