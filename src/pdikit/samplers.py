@@ -35,7 +35,7 @@ __all__ = [
 
 
 class SamplerError(RuntimeError):
-    """Raised when a target evaluation returns NaN or a precondition fails."""
+    """Raised when a target evaluation returns NaN or +inf, or a precondition fails."""
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,10 @@ def _target_factory(model: ModelSpec):
     def target(z: np.ndarray) -> float:
         theta = tf.constrain(z)
         lp = model.log_joint(theta) + tf.log_jacobian(z)
-        if np.isnan(lp):
+        if np.isnan(lp) or lp == np.inf:
             raise SamplerError(
-                f"log joint is NaN at unconstrained point {z.tolist()} "
+                f"log joint is {'NaN' if np.isnan(lp) else '+inf'} at "
+                f"unconstrained point {z.tolist()} "
                 f"(constrained {theta.tolist()})"
             )
         return float(lp)
@@ -145,7 +146,8 @@ def adaptive_rw_metropolis(model: ModelSpec, config: SamplerConfig) -> Posterior
     target acceptance rate on a diminishing t^-0.6 schedule. Deterministic:
     identical (model, config) pairs reproduce the draw matrix bit for bit.
     Raises ``SamplerError`` if the chain cannot start (non-finite target at
-    the prior-mean initial point) or if any target evaluation is NaN.
+    the prior-mean initial point) or if any target evaluation is NaN or +inf,
+    a value no Metropolis step could ever leave.
     """
     rng = np.random.default_rng(config.seed)
     target = _target_factory(model)

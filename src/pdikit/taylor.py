@@ -47,23 +47,32 @@ class TaylorReport:
     posterior_var: np.ndarray
 
 
-def pointwise_gradient(model: ModelSpec, n: int, theta) -> np.ndarray:
-    """Central finite-difference gradient of log p(x_n | theta).
+def _jacobian(model: ModelSpec, theta) -> np.ndarray:
+    """N x D central finite-difference Jacobian of the pointwise log-likelihoods.
 
-    Step per coordinate: cbrt(machine eps) * max(1, |theta_d|).
+    Step per coordinate: cbrt(machine eps) * max(1, |theta_d|). Two
+    ``pointwise_row`` calls per coordinate give the whole column.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    grad = np.empty(theta.size)
+    jac = np.empty((model.data_count, theta.size))
     for d in range(theta.size):
         h = _FD_STEP * max(1.0, abs(theta[d]))
         up = theta.copy()
         dn = theta.copy()
         up[d] += h
         dn[d] -= h
-        grad[d] = (model.pointwise_log_lik(n, up) - model.pointwise_log_lik(n, dn)) / (
-            2.0 * h
-        )
-    return grad
+        jac[:, d] = (model.pointwise_row(up) - model.pointwise_row(dn)) / (2.0 * h)
+    return jac
+
+
+def pointwise_gradient(model: ModelSpec, n: int, theta) -> np.ndarray:
+    """Central finite-difference gradient of log p(x_n | theta).
+
+    Step per coordinate: cbrt(machine eps) * max(1, |theta_d|).
+    """
+    if not 0 <= n < model.data_count:
+        raise IndexError(f"datapoint index {n} out of range")
+    return _jacobian(model, theta)[n].copy()
 
 
 def wapdi_taylor(
@@ -110,9 +119,10 @@ def compare_exact_vs_taylor(
             f"{model.data_count} datapoints"
         )
     summaries = summarize(matrix, eps=eps)
+    jac = _jacobian(model, draws.posterior_mean)
     rows = []
     for n, summary in enumerate(summaries):
-        g = pointwise_gradient(model, n, draws.posterior_mean)
+        g = jac[n].copy()
         approx = _taylor_from_gradient(g, draws.posterior_var, summary.log_mu, eps)
         exact = summary.wapdi
         rows.append(

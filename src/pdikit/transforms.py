@@ -7,7 +7,7 @@ log-absolute-Jacobian of the unconstrained -> constrained direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,10 +73,14 @@ class SimplexBlock:
     """
 
     size: int  # number of simplex components K
+    # log(K-1-k), the stick offsets, as the numpy scalars np.log returns.
+    _offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("simplex block needs at least 2 components")
+        offsets = tuple(np.log(self.size - 1 - k) for k in range(self.size - 1))
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def unconstrained_size(self) -> int:
@@ -90,8 +94,8 @@ class SimplexBlock:
         z = np.asarray(z, dtype=np.float64)
         x = np.empty(self.size)
         stick = 1.0
-        for k in range(self.size - 1):
-            u = _sigmoid(z[k] - np.log(self.size - 1 - k))
+        for k, offset in enumerate(self._offsets):
+            u = _sigmoid(z[k] - offset)
             x[k] = stick * u
             stick *= 1.0 - u
         x[-1] = stick
@@ -103,9 +107,9 @@ class SimplexBlock:
             raise ValueError("simplex block requires positive values summing to 1")
         z = np.empty(self.size - 1)
         stick = 1.0
-        for k in range(self.size - 1):
+        for k, offset in enumerate(self._offsets):
             u = theta[k] / stick
-            z[k] = np.log(u) - np.log1p(-u) + np.log(self.size - 1 - k)
+            z[k] = np.log(u) - np.log1p(-u) + offset
             stick -= theta[k]
         return z
 
@@ -113,8 +117,8 @@ class SimplexBlock:
         z = np.asarray(z, dtype=np.float64)
         total = 0.0
         log_stick = 0.0
-        for k in range(self.size - 1):
-            a = z[k] - np.log(self.size - 1 - k)
+        for k, offset in enumerate(self._offsets):
+            a = z[k] - offset
             # log u + log(1-u) for u = sigmoid(a), computed stably
             total += log_stick - np.logaddexp(0.0, -a) - np.logaddexp(0.0, a)
             log_stick += -np.logaddexp(0.0, a)  # log(1 - u)
@@ -133,45 +137,43 @@ class BlockTransform:
     """Concatenation of constraint blocks covering a full parameter vector."""
 
     blocks: tuple
+    unconstrained_dim: int = field(init=False, repr=False, compare=False)
+    constrained_dim: int = field(init=False, repr=False, compare=False)
+    # (block, unconstrained slice, constrained slice) for each block
+    _layout: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, blocks):
-        object.__setattr__(self, "blocks", tuple(blocks))
-
-    @property
-    def unconstrained_dim(self) -> int:
-        return sum(b.unconstrained_size for b in self.blocks)
-
-    @property
-    def constrained_dim(self) -> int:
-        return sum(b.constrained_size for b in self.blocks)
+        blocks = tuple(blocks)
+        layout = []
+        i = j = 0
+        for b in blocks:
+            layout.append(
+                (b, slice(i, i + b.unconstrained_size), slice(j, j + b.constrained_size))
+            )
+            i += b.unconstrained_size
+            j += b.constrained_size
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "unconstrained_dim", i)
+        object.__setattr__(self, "constrained_dim", j)
+        object.__setattr__(self, "_layout", tuple(layout))
 
     def constrain(self, z):
         z = np.asarray(z, dtype=np.float64)
         out = np.empty(self.constrained_dim)
-        i = j = 0
-        for b in self.blocks:
-            out[j : j + b.constrained_size] = b.constrain(z[i : i + b.unconstrained_size])
-            i += b.unconstrained_size
-            j += b.constrained_size
+        for b, zs, ts in self._layout:
+            out[ts] = b.constrain(z[zs])
         return out
 
     def unconstrain(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         out = np.empty(self.unconstrained_dim)
-        i = j = 0
-        for b in self.blocks:
-            out[i : i + b.unconstrained_size] = b.unconstrain(
-                theta[j : j + b.constrained_size]
-            )
-            i += b.unconstrained_size
-            j += b.constrained_size
+        for b, zs, ts in self._layout:
+            out[zs] = b.unconstrain(theta[ts])
         return out
 
     def log_jacobian(self, z):
         z = np.asarray(z, dtype=np.float64)
         total = 0.0
-        i = 0
-        for b in self.blocks:
-            total += b.log_jacobian(z[i : i + b.unconstrained_size])
-            i += b.unconstrained_size
+        for b, zs, _ in self._layout:
+            total += b.log_jacobian(z[zs])
         return float(total)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 import pdikit as pk
 from pdikit import datasets, models
@@ -127,6 +127,45 @@ class TestNB2MixtureModel:
             assert model.log_joint(theta) == pytest.approx(
                 model.log_prior(theta) + total, rel=1e-10
             )
+
+    def test_target_bitwise_equals_scipy(self):
+        # The sampler's chain is only reproducible if the model's own
+        # logsumexp returns scipy's bits exactly, ties and zero weights too.
+        days = datasets.presidents_days()
+        model = models.nb2_mixture_model(days)
+        shape, rate = models.moment_match_mu_prior(days)
+        rng = np.random.default_rng(7)
+        for trial in range(240):
+            pi = rng.dirichlet(np.ones(3))
+            mu = np.exp(rng.uniform(0.0, 9.0, size=3))
+            phi = np.exp(rng.uniform(-3.0, 8.0, size=3))
+            if trial % 3 == 1:
+                mu[1], phi[1] = mu[0], phi[0]
+            if trial % 3 == 2:
+                pi[trial % 2] = 0.0
+            theta = np.concatenate([pi, mu, phi])
+            comp = models.nb2_log_pmf(days[:, None], mu, phi)
+            expected = logsumexp(comp, axis=1, b=pi)
+            assert np.array_equal(model.pointwise_row(theta), expected)
+            prior = (
+                gammaln(3)
+                + gamma_logpdf(mu, shape, rate).sum()
+                + gamma_logpdf(phi, 1.0, 0.01).sum()
+            )
+            assert model.log_prior(theta) == prior
+            assert model.log_joint(theta) == prior + expected.sum()
+
+    def test_target_rejects_bad_params(self):
+        model = models.nb2_mixture_model(datasets.presidents_days())
+        theta = np.array([0.2, 0.3, 0.5, 100.0, 1000.0, 3000.0, 1.0, 10.0, 100.0])
+        bad_mu = theta.copy()
+        bad_mu[4] = np.inf
+        with pytest.raises(ValueError, match="mu and phi must be finite"):
+            model.log_joint(bad_mu)
+        bad_phi = theta.copy()
+        bad_phi[7] = 0.0
+        with pytest.raises(ValueError, match="mu and phi must be > 0"):
+            model.log_joint(bad_phi)
 
     def test_prior_mean_layout(self):
         days = datasets.presidents_days()

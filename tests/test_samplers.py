@@ -29,6 +29,19 @@ def gaussian_model(sd=1.0):
     )
 
 
+def one_dim_model(log_joint):
+    return pk.ModelSpec(
+        name="bad",
+        transform=BlockTransform([IdentityBlock(1)]),
+        log_prior=lambda th: 0.0,
+        log_joint=log_joint,
+        pointwise_row=lambda th: np.array([0.0]),
+        data_count=1,
+        datapoint_ids=("x",),
+        prior_mean=np.array([0.0]),
+    )
+
+
 class TestTransforms:
     @given(st.lists(unconstrained, min_size=1, max_size=5))
     def test_positive_round_trip(self, zs):
@@ -135,32 +148,26 @@ class TestAdaptiveMetropolis:
         def bad_joint(th):
             return float("nan") if th[0] > 0.5 else -0.5 * th[0] ** 2
 
-        model = pk.ModelSpec(
-            name="bad",
-            transform=BlockTransform([IdentityBlock(1)]),
-            log_prior=lambda th: 0.0,
-            log_joint=bad_joint,
-            pointwise_row=lambda th: np.array([0.0]),
-            data_count=1,
-            datapoint_ids=("x",),
-            prior_mean=np.array([0.0]),
-        )
         with pytest.raises(pk.SamplerError, match="NaN"):
             pk.adaptive_rw_metropolis(
-                model, pk.SamplerConfig(warmup_steps=200, kept_draws=100, seed=0)
+                one_dim_model(bad_joint),
+                pk.SamplerConfig(warmup_steps=200, kept_draws=100, seed=0),
+            )
+
+    def test_plus_inf_log_joint_aborts_with_point(self):
+        # Accepting +inf would freeze the chain there: every later proposal
+        # has lp_prop - inf = -inf and is rejected.
+        def bad_joint(th):
+            return float("inf") if th[0] > 0.5 else -0.5 * th[0] ** 2
+
+        with pytest.raises(pk.SamplerError, match=r"\+inf at unconstrained point"):
+            pk.adaptive_rw_metropolis(
+                one_dim_model(bad_joint),
+                pk.SamplerConfig(warmup_steps=200, kept_draws=100, seed=0),
             )
 
     def test_nonfinite_start_rejected(self):
-        model = pk.ModelSpec(
-            name="inf-start",
-            transform=BlockTransform([IdentityBlock(1)]),
-            log_prior=lambda th: 0.0,
-            log_joint=lambda th: float("-inf"),
-            pointwise_row=lambda th: np.array([0.0]),
-            data_count=1,
-            datapoint_ids=("x",),
-            prior_mean=np.array([0.0]),
-        )
+        model = one_dim_model(lambda th: float("-inf"))
         with pytest.raises(pk.SamplerError, match="initial point"):
             pk.adaptive_rw_metropolis(
                 model, pk.SamplerConfig(warmup_steps=10, kept_draws=10, seed=0)

@@ -114,6 +114,34 @@ class TestCompareReport:
         rep = compare_exact_vs_taylor(single, draws, mat)
         assert len(rep.rows) == 1
 
+    def test_gradients_equal_per_entry_differences(self):
+        table, _ = models.simulate_votes(30, seed=5)
+        model = models.hier_logreg_model(table)
+        rng = np.random.default_rng(2)
+        z0 = model.transform.unconstrain(model.prior_mean)
+        draws = pk.posterior_draws_from(
+            [model.transform.constrain(z0 + 0.3 * rng.standard_normal(z0.size)) for _ in range(40)],
+            1.0,
+            0,
+        )
+        rep = compare_exact_vs_taylor(model, draws, pk.loglik_matrix(model, draws))
+        theta = draws.posterior_mean
+        step = np.cbrt(np.finfo(np.float64).eps)
+        for row in rep.rows:
+            n = model.datapoint_ids.index(row.datapoint_id)
+            expected = np.empty(theta.size)
+            for d in range(theta.size):
+                h = step * max(1.0, abs(theta[d]))
+                up, dn = theta.copy(), theta.copy()
+                up[d] += h
+                dn[d] -= h
+                expected[d] = (model.pointwise_row(up)[n] - model.pointwise_row(dn)[n]) / (2.0 * h)
+            assert np.array_equal(row.gradient, expected)
+            assert np.array_equal(pointwise_gradient(model, n, theta), expected)
+        assert not np.shares_memory(rep.rows[0].gradient, rep.rows[1].gradient)
+        with pytest.raises(IndexError):
+            pointwise_gradient(model, 30, theta)
+
     def test_column_count_mismatch_rejected(self, toy_setup):
         data, _, model, draws = toy_setup
         other = models.gamma_toy_model(data, eval_points=[1.0, 2.0])
