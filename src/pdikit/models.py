@@ -316,6 +316,18 @@ def log_sigmoid(eta):
     return out if out.shape else float(out)
 
 
+def _bernoulli_logit_loglik(y, eta):
+    """y log(sigmoid(eta)) + (1 - y) log(sigmoid(-eta)), element by element.
+
+    Bitwise equal to the sum of the two ``log_sigmoid`` calls, whose tails
+    log1p(exp(-|eta|)) are the same array, formed here once.
+    """
+    tail = np.log1p(np.exp(-np.abs(eta)))
+    return y * np.where(eta >= 0, -tail, eta - tail) + (1.0 - y) * np.where(
+        eta <= 0, -tail, -eta - tail
+    )
+
+
 HIER_VARIANTS = ("base", "with_age", "with_edu")
 _HYPER_SCALE = 10.0  # Normal(0, 10) hyperpriors on group means and scales
 
@@ -437,13 +449,10 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         return float(lp)
 
     def pointwise_row(theta):
-        eta = linear_predictor(theta)
-        return y * log_sigmoid(eta) + (1.0 - y) * log_sigmoid(-eta)
+        return _bernoulli_logit_loglik(y, linear_predictor(theta))
 
     def log_joint(theta):
-        eta = linear_predictor(theta)
-        total = float(np.sum(y * log_sigmoid(eta) + (1.0 - y) * log_sigmoid(-eta)))
-        return log_prior(theta) + total
+        return log_prior(theta) + float(np.sum(pointwise_row(theta)))
 
     # Positive-constrained scales start at the folded-normal prior mean.
     half_normal_mean = _HYPER_SCALE * np.sqrt(2.0 / np.pi)

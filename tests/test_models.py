@@ -264,6 +264,20 @@ class TestLogSigmoid:
         assert np.isfinite(v)
         assert v == pytest.approx(-35.0, abs=1e-12)
 
+    def test_one_tail_likelihood_equals_two_calls_bitwise(self):
+        rng = np.random.default_rng(3)
+        eta = np.concatenate(
+            [
+                [0.0, -0.0, 700.0, -700.0, 750.0, -750.0, 1e300, -1e300, 5e-324, -5e-324],
+                rng.normal(0.0, 3.0, 200),
+                rng.normal(0.0, 1e4, 50),
+            ]
+        )
+        for y in (np.zeros(eta.size), np.ones(eta.size), rng.integers(0, 2, eta.size) * 1.0):
+            want = y * models.log_sigmoid(eta) + (1.0 - y) * models.log_sigmoid(-eta)
+            got = models._bernoulli_logit_loglik(y, eta)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestHierLogReg:
     def _table(self, n=60, variant="base", seed=0):

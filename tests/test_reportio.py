@@ -1,0 +1,231 @@
+"""Readers and strict JSON writers in ``pdikit.reportio``."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pdikit as pk
+from pdikit import reportio
+from pdikit.cli import main
+
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+cell_text = st.one_of(
+    any_float.map(repr),
+    any_float.map(lambda x: "%.6g" % x),
+    # float() accepts these, np.loadtxt does not
+    st.integers(0, 10**6).map(lambda i: f"{i:_}"),
+    st.integers(0, 999).map(lambda i: str(i).translate(FULLWIDTH)),
+    # padding both readers strip
+    any_float.map(lambda x: f"\t{x!r} "),
+)
+filler = st.sampled_from(["", "   ", "# a comment", "#", "#x,y,z"])
+
+
+@st.composite
+def matrix_files(draw):
+    """Lines of a matrix CSV, the cell texts of each draw row and its file line."""
+    n_rows = draw(st.integers(2, 6))
+    n_cols = draw(st.integers(1, 5))
+    cells = [draw(st.lists(cell_text, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    lines = draw(st.lists(filler, max_size=2))
+    lines.append(",".join(f"c{j}" for j in range(n_cols)))
+    line_nos = []
+    for row in cells:
+        lines += draw(st.lists(filler, max_size=2))
+        lines.append(",".join(row))
+        line_nos.append(len(lines))
+    lines += draw(st.lists(filler, max_size=2))
+    return lines, cells, line_nos
+
+
+def oracle(cells) -> np.ndarray:
+    return np.array([[float(c) for c in row] for row in cells], dtype=np.float64)
+
+
+def write(tmp_path, lines):
+    p = tmp_path / "m.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return p
+
+
+class TestMatrixReaderContract:
+    @given(matrix_files())
+    @settings(max_examples=300)
+    def test_cells_parse_bitwise_like_float(self, tmp_path_factory, case):
+        lines, cells, line_nos = case
+        path = write(tmp_path_factory.mktemp("m"), lines)
+        assert [no for no, _ in reportio._data_lines(path)[1:]] == line_nos
+        header, got = reportio._parse_matrix(path)
+        assert header == [f"c{j}" for j in range(len(cells[0]))]
+        want = oracle(cells)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(matrix_files())
+    @settings(max_examples=150)
+    def test_read_equals_oracle_matrix(self, tmp_path_factory, case):
+        lines, cells, _ = case
+        path = write(tmp_path_factory.mktemp("m"), lines)
+        ids = [f"c{j}" for j in range(len(cells[0]))]
+        try:
+            want = pk.LogLikMatrix(oracle(cells), ids, allow_degenerate=True)
+        except ValueError as exc:
+            with pytest.raises(reportio.InputFormatError) as err:
+                reportio.read_loglik_csv(path, allow_degenerate=True)
+            assert str(err.value) == f"{path}: {exc}"
+        else:
+            got = reportio.read_loglik_csv(path, allow_degenerate=True)
+            assert got.datapoint_ids == want.datapoint_ids
+            assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+    def test_float_only_literals_take_the_rescan(self, tmp_path):
+        path = write(tmp_path, ["a,b,c", "1_0,１,\t-2.5 ", "-1.0,-2.0,-3.0"])
+        m = reportio.read_loglik_csv(path)
+        assert m.values.tolist() == [[10.0, 1.0, -2.5], [-1.0, -2.0, -3.0]]
+
+    @given(matrix_files(), st.data())
+    @settings(max_examples=200)
+    def test_malformed_row_names_its_file_line(self, tmp_path_factory, case, data):
+        lines, cells, line_nos = case
+        n_cols = len(cells[0])
+        k = data.draw(st.integers(0, len(cells) - 1))
+        line_no = line_nos[k]
+        row = list(cells[k])
+        kinds = ["trailing_comma", "extra_cell", "non_numeric"]
+        if n_cols >= 2:  # one empty or missing cell of a 1-column row is a blank line
+            kinds += ["empty_cell", "missing_cell"]
+        kind = data.draw(st.sampled_from(kinds))
+        if kind in ("empty_cell", "non_numeric"):
+            j = data.draw(st.integers(0, n_cols - 1))
+            row[j] = "" if kind == "empty_cell" else "oops"
+            expected = f"non-numeric value {row[j]!r} at line {line_no}, column {j + 1}"
+        else:
+            row = {
+                "trailing_comma": row + [""],
+                "extra_cell": row + ["1.0"],
+                "missing_cell": row[:-1],
+            }[kind]
+            expected = f"line {line_no} has {len(row)} values, expected {n_cols}"
+        lines[line_no - 1] = ",".join(row)
+        path = write(tmp_path_factory.mktemp("m"), lines)
+        with pytest.raises(reportio.InputFormatError) as err:
+            reportio.read_loglik_csv(path, allow_degenerate=True)
+        assert str(err.value) == f"{path}: {expected}"
+
+    @pytest.mark.parametrize(
+        "lines, found",
+        [
+            (["a,b"], 0),
+            (["# c", "a,b", "", "# only a comment"], 0),
+            (["a,b", "-1.0,-2.0"], 1),
+            (["a,b", "# c", "-1_0,１"], 1),
+        ],
+    )
+    def test_too_few_draws_keep_their_message(self, tmp_path, lines, found):
+        path = write(tmp_path, lines)
+        with pytest.raises(reportio.InputFormatError) as err:
+            reportio.read_loglik_csv(path)
+        assert str(err.value) == f"{path}: need at least 2 posterior draws, found {found}"
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["a,b", "# c", "-1.0"], "line 3 has 1 values, expected 2"),
+            # every row equally wide, only not as wide as the header
+            (["a,b", "1,2,3", "", "4,5,6"], "line 2 has 3 values, expected 2"),
+        ],
+    )
+    def test_ragged_against_the_header(self, tmp_path, lines, message):
+        path = write(tmp_path, lines)
+        with pytest.raises(reportio.InputFormatError) as err:
+            reportio.read_loglik_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
+
+class TestReaderLineNumbers:
+    """Each reader reports the file's own line, counting comment lines."""
+
+    def _raises(self, reader, path, message):
+        with pytest.raises(reportio.InputFormatError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_loglik(self, tmp_path):
+        path = write(tmp_path, ["a,b", "-1.0,-2.0", "# c", "-1.5,oops"])
+        self._raises(
+            reportio.read_loglik_csv, path, "non-numeric value 'oops' at line 4, column 2"
+        )
+
+    def test_values(self, tmp_path):
+        path = write(tmp_path, ["# c", "x", "1.0", "bad"])
+        self._raises(
+            reportio.read_values_csv, path, "non-numeric value 'bad' at line 4, column 1"
+        )
+
+    def test_group_labels(self, tmp_path):
+        path = write(tmp_path, ["id,label", "# c", "a,g1", "b"])
+        self._raises(reportio.read_group_labels_csv, path, "line 4 is not 'id,label'")
+
+    def test_votes(self, tmp_path):
+        path = write(tmp_path, ["vote,sex,race,state", "# c", "1,x,0,ny"])
+        self._raises(
+            reportio.read_votes_csv, path, "line 3: column 'sex' must be an integer, got 'x'"
+        )
+
+    def test_summary(self, tmp_path):
+        m = pk.LogLikMatrix(np.random.default_rng(0).normal(-3, 1, size=(5, 3)))
+        path = tmp_path / "summary.csv"
+        reportio.write_summary_csv(path, pk.rank_report(pk.summarize(m), m.datapoint_ids), 0)
+        lines = path.read_text().splitlines()  # meta line, header, rows from line 3
+        cells = lines[3].split(",")
+        cells[1] = "bad"
+        lines[3] = ",".join(cells)
+        lines.insert(3, "# c")
+        path.write_text("\n".join(lines) + "\n")
+        self._raises(
+            reportio.read_summary_csv, path, "non-numeric value 'bad' at line 5, column 2"
+        )
+        path.write_text("\n".join(lines[:2] + ["a,1.0"]) + "\n")
+        self._raises(reportio.read_summary_csv, path, "ragged row at line 3")
+
+
+def _strict(text):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_degenerate_matrix_writes_null(self, tmp_path):
+        matrix = write(tmp_path, ["a,b", "-1.0,-2.0", "-inf,-2.5", "-1.2,-2.2"])
+        groups = tmp_path / "g.csv"
+        groups.write_text("id,label\na,g1\nb,g2\n")
+        out = tmp_path / "out"
+        argv = ["compute", "--input", str(matrix), "--groups", str(groups), "--out", str(out)]
+        assert main(argv + ["--allow-degenerate", "--formats", "csv,ndjson"]) == 0
+        run = _strict((out / "run.json").read_text())
+        assert run["waic"] is None
+        assert run["group_means"]["g1"]["mean_wapdi"] is None
+        assert run["group_means"]["g2"]["mean_wapdi"] is not None
+        records = [_strict(line) for line in (out / "summary.ndjson").read_text().splitlines()]
+        assert records[0]["waic"] is None
+        by_id = {r["id"]: r for r in records[1:]}
+        assert by_id["a"]["flags"] == ["nonfinite_loglik"]
+        assert by_id["a"]["wapdi"] is None and by_id["a"]["log_mu"] is not None
+        assert None not in by_id["b"].values()
+        # summary.csv keeps repr floats, nan included
+        rows = {r["id"]: r for r in reportio.read_summary_csv(out / "summary.csv")}
+        assert np.isnan(rows["a"]["wapdi"])
+
+    def test_nested_non_finite_values_become_null(self, tmp_path):
+        payload = {"x": [1.0, float("-inf")], "y": {"z": float("nan"), "w": (2.0, "s")}}
+        reportio.write_run_json(tmp_path / "run.json", payload)
+        run = _strict((tmp_path / "run.json").read_text())
+        assert run["x"] == [1.0, None]
+        assert run["y"] == {"z": None, "w": [2.0, "s"]}
