@@ -7,74 +7,9 @@ with an adaptive Metropolis sampler, and emit ranked mismatch reports.
 
 __version__ = "0.1.0"
 
-from .dispersion import (
-    NEAR_SINGULAR_EPS,
-    GroupStats,
-    LogLikMatrix,
-    MismatchReport,
-    PointwiseSummary,
-    ReportRow,
-    group_aggregate,
-    log_posterior_predictive,
-    log_posterior_predictive_mcse,
-    log_var_lik,
-    mean_log_lik,
-    pdi_ratio,
-    pdi_ratio_linear,
-    rank_report,
-    summarize,
-    summarize_column,
-    var_log_lik,
-    waic,
-    wapdi,
-)
-from .samplers import (
-    ModelSpec,
-    PosteriorDraws,
-    SamplerConfig,
-    SamplerError,
-    adaptive_rw_metropolis,
-    conjugate_gamma_draws,
-    conjugate_gamma_posterior,
-    loglik_matrix,
-    mcse_mean,
-    posterior_draws_from,
-)
-from .taylor import TaylorReport, TaylorRow, compare_exact_vs_taylor, wapdi_taylor
+from . import dispersion, samplers, taylor
+from .dispersion import *
+from .samplers import *
+from .taylor import *
 
-__all__ = [
-    "__version__",
-    "NEAR_SINGULAR_EPS",
-    "GroupStats",
-    "LogLikMatrix",
-    "MismatchReport",
-    "PointwiseSummary",
-    "ReportRow",
-    "group_aggregate",
-    "log_posterior_predictive",
-    "log_posterior_predictive_mcse",
-    "log_var_lik",
-    "mean_log_lik",
-    "pdi_ratio",
-    "pdi_ratio_linear",
-    "rank_report",
-    "summarize",
-    "summarize_column",
-    "var_log_lik",
-    "waic",
-    "wapdi",
-    "ModelSpec",
-    "PosteriorDraws",
-    "SamplerConfig",
-    "SamplerError",
-    "adaptive_rw_metropolis",
-    "conjugate_gamma_draws",
-    "conjugate_gamma_posterior",
-    "loglik_matrix",
-    "mcse_mean",
-    "posterior_draws_from",
-    "TaylorReport",
-    "TaylorRow",
-    "compare_exact_vs_taylor",
-    "wapdi_taylor",
-]
+__all__ = ["__version__", *dispersion.__all__, *samplers.__all__, *taylor.__all__]

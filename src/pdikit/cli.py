@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, datasets, models, reportio
+from . import __version__, reportio
 from .dispersion import MismatchReport, group_aggregate, rank_report, summarize
 from .samplers import (
     SamplerConfig,
@@ -200,6 +200,9 @@ class _BuiltModel:
 
 
 def _build_model(cfg: RunConfig) -> _BuiltModel:
+    # The models need scipy; compute and report never import them.
+    from . import datasets, models
+
     if cfg.model == "presidents-nb2":
         days = datasets.presidents_days()
         model = models.nb2_mixture_model(days, datasets.presidents_ids())
@@ -247,6 +250,8 @@ def _build_model(cfg: RunConfig) -> _BuiltModel:
 
 def _sample(built: _BuiltModel, cfg: RunConfig):
     """Posterior draws for a built-in model; exact for the conjugate toy."""
+    from . import models
+
     if cfg.model == "toy-gamma":
         draws = conjugate_gamma_draws(
             built.dataset,
@@ -266,6 +271,11 @@ def _sample(built: _BuiltModel, cfg: RunConfig):
     return draws, "adaptive-rw-metropolis"
 
 
+def _run_payload(cfg: RunConfig) -> dict:
+    """The ``run.json`` fields every command shares."""
+    return {"command": cfg.command, "seed": cfg.seed, "config": asdict(cfg)}
+
+
 def _write_outputs(
     outdir: Path,
     report: MismatchReport,
@@ -279,13 +289,7 @@ def _write_outputs(
         reportio.write_summary_ndjson(outdir / "summary.ndjson", report, cfg.seed)
     if "svg" in cfg.formats:
         reportio.write_wapdi_svg(outdir / "wapdi.svg", report, cfg.seed, cfg.top_k)
-    payload = {
-        "command": cfg.command,
-        "seed": cfg.seed,
-        "config": asdict(cfg),
-        "waic": report.waic,
-        **extra_meta,
-    }
+    payload = {**_run_payload(cfg), "waic": report.waic, **extra_meta}
     if report.group_labels:
         payload["group_means"] = {
             label: asdict(stats)
@@ -330,6 +334,8 @@ def _cmd_fit(cfg: RunConfig) -> int:
 
 
 def _dump_data(cfg: RunConfig, built: _BuiltModel) -> int:
+    from . import datasets
+
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     target = outdir / "data.csv"
@@ -390,9 +396,7 @@ def _cmd_check_lemma(cfg: RunConfig) -> int:
     reportio.write_run_json(
         outdir / "run.json",
         {
-            "command": cfg.command,
-            "seed": cfg.seed,
-            "config": asdict(cfg),
+            **_run_payload(cfg),
             "sampler": sampler_name,
             "posterior_mean": taylor_report.posterior_mean.tolist(),
             "posterior_var": taylor_report.posterior_var.tolist(),

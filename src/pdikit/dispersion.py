@@ -37,10 +37,8 @@ __all__ = [
     "log_var_lik",
     "wapdi",
     "pdi_ratio",
-    "pdi_ratio_linear",
     "waic",
     "summarize",
-    "summarize_column",
     "rank_report",
     "group_aggregate",
 ]
@@ -116,9 +114,6 @@ class LogLikMatrix:
     @property
     def point_count(self) -> int:
         return self.values.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
 
 
 @dataclass(frozen=True)
@@ -198,8 +193,9 @@ def _dispersion_rows(block: np.ndarray, eps: float) -> dict[str, np.ndarray]:
         log_sigma2 = np.where(zero_variance, -np.inf, 2.0 * m + np.log(var_lik))
         small = np.abs(log_mu) < eps
         # Rows with a -inf entry never get the near-singular flag; their
-        # sigma2_log, and so their wapdi, is already NaN.
-        wapdi_val = np.where(small, np.nan, sigma2_log / log_mu)
+        # sigma2_log, and so their wapdi, is already NaN. Adding 0.0 turns the
+        # -0.0 of a zero-variance row into 0.0 and changes no other value.
+        wapdi_val = np.where(small, np.nan, sigma2_log / log_mu + 0.0)
         return {
             "log_mu": log_mu,
             "mu_log": m + mean_shifted,
@@ -309,26 +305,6 @@ def pdi_ratio(column) -> float:
     The degenerate -inf marker from ``log_var_lik`` propagates through.
     """
     return _column_field(column, "pdi_ratio_log")
-
-
-def pdi_ratio_linear(column) -> float:
-    """exp of ``pdi_ratio``; may overflow to inf, which callers must expect."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(pdi_ratio(column)))
-
-
-def summarize_column(
-    column, *, eps: float = NEAR_SINGULAR_EPS, allow_degenerate: bool = False
-) -> PointwiseSummary:
-    """Compute every pointwise quantity for a single column of S >= 2 draws."""
-    col = np.asarray(column, dtype=np.float64)
-    if col.ndim != 1 or col.size < 2:
-        raise ValueError("summarize_column needs a 1-D column with S >= 2 draws")
-    if np.isnan(col).any() or np.isposinf(col).any():
-        raise ValueError("NaN or +inf in log-likelihood column")
-    if not allow_degenerate and np.isneginf(col).any():
-        raise ValueError("-inf in log-likelihood column (allow_degenerate=False)")
-    return _summaries(_dispersion_rows(col[:, None], eps))[0]
 
 
 def summarize(

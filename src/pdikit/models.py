@@ -15,14 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .samplers import ModelSpec
 from .transforms import BlockTransform, IdentityBlock, PositiveBlock, SimplexBlock
 
 __all__ = [
     "nb2_log_pmf",
-    "mixture_pointwise_log_lik",
     "moment_match_mu_prior",
     "nb2_mixture_model",
     "relabel_by_dispersion",
@@ -35,7 +34,6 @@ __all__ = [
     "VoteTable",
     "simulate_votes",
     "hier_logreg_model",
-    "log_sigmoid",
 ]
 
 
@@ -67,13 +65,6 @@ def nb2_log_pmf(x, mu, phi):
         + x * (np.log(mu) - denom)
     )
     return out if out.shape else float(out)
-
-
-def mixture_pointwise_log_lik(x, weights, mus, phis):
-    """log sum_k pi_k NB2(x; mu_k, phi_k) for one count x."""
-    weights = np.asarray(weights, dtype=np.float64)
-    comp = np.array([nb2_log_pmf(x, m, p) for m, p in zip(mus, phis)])
-    return float(logsumexp(comp, b=weights))
 
 
 def moment_match_mu_prior(data) -> tuple[float, float]:
@@ -308,19 +299,11 @@ def simulate_toy_data(n: int, rate: float = 1.0, seed: int = 0) -> np.ndarray:
 # Hierarchical logistic regression
 # ---------------------------------------------------------------------------
 
-def log_sigmoid(eta):
-    """log(sigmoid(eta)), stable on both tails."""
-    eta = np.asarray(eta, dtype=np.float64)
-    tail = np.log1p(np.exp(-np.abs(eta)))
-    out = np.where(eta >= 0, -tail, eta - tail)
-    return out if out.shape else float(out)
-
-
 def _bernoulli_logit_loglik(y, eta):
     """y log(sigmoid(eta)) + (1 - y) log(sigmoid(-eta)), element by element.
 
-    Bitwise equal to the sum of the two ``log_sigmoid`` calls, whose tails
-    log1p(exp(-|eta|)) are the same array, formed here once.
+    Each term is the stable log sigmoid, -log1p(exp(-|x|)) + min(x, 0); the
+    two share the tail log1p(exp(-|eta|)), formed here once.
     """
     tail = np.log1p(np.exp(-np.abs(eta)))
     return y * np.where(eta >= 0, -tail, eta - tail) + (1.0 - y) * np.where(

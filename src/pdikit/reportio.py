@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .dispersion import LogLikMatrix, MismatchReport, ReportRow
-from .models import VoteTable
 
 __all__ = [
     "InputFormatError",
@@ -211,8 +210,13 @@ def read_summary_csv(path) -> list[dict]:
         rec: dict = {"id": cells[0], "flags": tuple(f for f in cells[10].split(";") if f)}
         for col_no, (name, cell) in enumerate(zip(SUMMARY_COLUMNS[1:8], cells[1:8]), 2):
             rec[name] = _parse_float(path, cell, line_no, col_no)
-        rec["rank_wapdi"] = int(cells[8])
-        rec["rank_logpred"] = int(cells[9])
+        for col_no, (name, cell) in enumerate(zip(SUMMARY_COLUMNS[8:10], cells[8:10]), 9):
+            try:
+                rec[name] = int(cell)
+            except ValueError:
+                raise InputFormatError(
+                    f"{path}: non-integer rank {cell!r} at line {line_no}, column {col_no}"
+                ) from None
         out.append(rec)
     return out
 
@@ -340,6 +344,9 @@ def read_votes_csv(path) -> VoteTable:
     string code; age/edu: small non-negative integer category codes. Category
     indices are assigned from the sorted distinct codes in the file.
     """
+    # models needs scipy; import it only when a votes file is read.
+    from .models import VoteTable
+
     path = Path(path)
     rows = _data_lines(path)
     if len(rows) < 2:

@@ -30,7 +30,6 @@ __all__ = [
     "loglik_matrix",
     "conjugate_gamma_posterior",
     "conjugate_gamma_draws",
-    "mcse_mean",
 ]
 
 
@@ -64,7 +63,7 @@ class SamplerConfig:
 class ModelSpec:
     """A model as the sampler and estimators see it.
 
-    ``log_joint``, ``log_prior`` and the pointwise evaluators all take the
+    ``log_joint``, ``log_prior`` and ``pointwise_row`` all take the
     constrained parameter vector. ``pointwise_row(theta)`` returns the
     length-N vector of pointwise log-likelihoods; ``log_joint`` must equal
     log_prior + sum(pointwise_row) up to arithmetic noise -- tests assert
@@ -84,11 +83,6 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         return self.transform.unconstrained_dim
-
-    def pointwise_log_lik(self, n: int, theta) -> float:
-        if not 0 <= n < self.data_count:
-            raise IndexError(f"datapoint index {n} out of range")
-        return float(self.pointwise_row(np.asarray(theta, dtype=np.float64))[n])
 
 
 @dataclass(frozen=True)
@@ -254,13 +248,3 @@ def conjugate_gamma_draws(
     rng = np.random.default_rng(seed)
     beta = rng.gamma(shape, 1.0 / rate, size=n_draws)
     return posterior_draws_from(beta[:, None], 1.0, seed)
-
-
-def mcse_mean(values, n_batches: int = 50) -> float:
-    """Batch-means Monte Carlo standard error for the mean of a chain."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2 * n_batches:
-        raise ValueError(f"need at least {2 * n_batches} values")
-    batch = x.size // n_batches
-    means = x[: batch * n_batches].reshape(n_batches, batch).mean(axis=1)
-    return float(means.std(ddof=1) / np.sqrt(n_batches))

@@ -164,6 +164,7 @@ class TestComputeCommand:
         by_id = {r["id"]: r for r in records}
         assert by_id["a"]["wapdi"] == pytest.approx(-0.199529, abs=1e-6)
         assert by_id["b"]["wapdi"] == 0.0
+        assert math.copysign(1.0, by_id["b"]["wapdi"]) == 1.0  # "0.0", not "-0.0"
         assert by_id["a"]["rank_wapdi"] == 1
         assert (out / "summary.ndjson").exists()
         assert (out / "wapdi.svg").exists()

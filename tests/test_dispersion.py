@@ -12,6 +12,11 @@ from pdikit.dispersion import FLAG_NEAR_SINGULAR, FLAG_NONFINITE, FLAG_ZERO_VARI
 LOG_2_4 = np.log([0.2, 0.4])
 
 
+def summarize_one(col):
+    """Summary of a single column, through an S x 1 matrix."""
+    return pk.summarize(pk.LogLikMatrix(col[:, None], allow_degenerate=True))[0]
+
+
 def naive_column(col):
     """Linear-domain oracle: safe only for small matrices with mild entries."""
     lik = np.exp(col)
@@ -117,14 +122,6 @@ class TestColumnEstimators:
         assert pk.pdi_ratio(col + log_k) == pytest.approx(
             pk.pdi_ratio(col) + log_k, rel=1e-10
         )
-
-    def test_pdi_ratio_linear(self):
-        assert pk.pdi_ratio_linear(LOG_2_4) == pytest.approx(0.02 / 0.3, rel=1e-10)
-
-    def test_pdi_ratio_linear_overflow_is_inf(self):
-        # ratio ~ exp(900): variance scale dwarfs the mean scale
-        col = np.array([1000.0, 100.0])
-        assert pk.pdi_ratio_linear(col) == np.inf
 
     def test_waic_flag_mode_nan_propagates(self):
         m = pk.LogLikMatrix(
@@ -264,6 +261,18 @@ class TestMatrixAndSummaries:
         assert s[1].log_mu == pytest.approx(math.log(0.5), abs=1e-12)
         assert FLAG_ZERO_VARIANCE in s[1].flags
 
+    def test_zero_variance_wapdi_is_positive_zero(self):
+        # 0 / log mu has a negative denominator; the kernel writes +0.0.
+        vals = np.column_stack([LOG_2_4, np.full(2, math.log(0.5)), np.full(2, -3.0)])
+        summaries = pk.summarize(pk.LogLikMatrix(vals, ["a", "b", "c"]))
+        for s in summaries[1:]:
+            assert FLAG_ZERO_VARIANCE in s.flags
+            assert s.wapdi == 0.0 and math.copysign(1.0, s.wapdi) == 1.0
+        assert math.copysign(1.0, pk.wapdi([-0.5, -0.5, -0.5])) == 1.0
+        report = pk.rank_report(summaries, ["a", "b", "c"])
+        ranks = {r.datapoint_id: (r.rank_wapdi, r.rank_log_mu) for r in report.rows}
+        assert ranks == {"a": (1, 2), "b": (3, 3), "c": (2, 1)}
+
     def test_summarize_single_column(self):
         m = pk.LogLikMatrix([[-1.0], [-2.0]])
         assert len(pk.summarize(m)) == 1
@@ -321,7 +330,7 @@ class TestMatrixAndSummaries:
         for value in (s.sigma2_log, s.wapdi, s.pdi_ratio_log, s.waic_term):
             assert math.isnan(value)
         assert s.flags == (FLAG_NONFINITE, FLAG_ZERO_VARIANCE)
-        assert pk.summarize_column(vals[:, 0], allow_degenerate=True) == s
+        assert summarize_one(vals[:, 0]) == s
 
     def test_blocks_match_single_columns(self):
         # Constant and partly -inf columns on both sides of each block seam.
@@ -335,10 +344,7 @@ class TestMatrixAndSummaries:
         vals[:, 2 * step] = -0.75
         m = pk.LogLikMatrix(vals, allow_degenerate=True)
         blocked = pk.summarize(m)
-        single = [
-            pk.summarize_column(vals[:, j], allow_degenerate=True)
-            for j in range(vals.shape[1])
-        ]
+        single = [summarize_one(vals[:, j]) for j in range(vals.shape[1])]
         assert blocked == single
         assert FLAG_NONFINITE in blocked[step].flags
         assert FLAG_ZERO_VARIANCE in blocked[2 * step].flags
@@ -356,13 +362,11 @@ class TestMatrixAndSummaries:
             pk.log_var_lik,
             pk.wapdi,
             pk.pdi_ratio,
-            pk.pdi_ratio_linear,
-            pk.summarize_column,
         ):
             fn(col)
             assert np.array_equal(col, before), fn.__name__
         m = pk.LogLikMatrix(col[:, None])
-        assert pk.summarize(m) == [pk.summarize_column(before)]
+        assert pk.summarize(m) == [summarize_one(before)]
         assert np.array_equal(m.values[:, 0], before)
 
     def test_waic_2x1_fixture(self):

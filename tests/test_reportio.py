@@ -194,6 +194,24 @@ class TestReaderLineNumbers:
         self._raises(reportio.read_summary_csv, path, "ragged row at line 3")
 
 
+@pytest.mark.parametrize("col_no", [9, 10])
+def test_bad_rank_cell_names_its_position(tmp_path, capsys, col_no):
+    m = pk.LogLikMatrix(np.random.default_rng(0).normal(-3, 1, size=(5, 3)))
+    path = tmp_path / "summary.csv"
+    reportio.write_summary_csv(path, pk.rank_report(pk.summarize(m), m.datapoint_ids), 0)
+    lines = path.read_text().splitlines()  # meta line, header, rows from line 3
+    cells = lines[3].split(",")
+    cells[col_no - 1] = "x"
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}: non-integer rank 'x' at line 4, column {col_no}"
+    with pytest.raises(reportio.InputFormatError) as err:
+        reportio.read_summary_csv(path)
+    assert str(err.value) == message
+    assert main(["report", "--input", str(path)]) == 3
+    assert capsys.readouterr().err == f"pdikit: error: {message}\n"
+
+
 def _strict(text):
     def reject(constant):
         raise ValueError(f"non-strict JSON constant {constant}")

@@ -16,6 +16,16 @@ unconstrained = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 simplex_coord = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 
+def mcse_mean(values, n_batches: int = 50) -> float:
+    """Batch-means Monte Carlo standard error for the mean of a chain."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2 * n_batches:
+        raise ValueError(f"need at least {2 * n_batches} values")
+    batch = x.size // n_batches
+    means = x[: batch * n_batches].reshape(n_batches, batch).mean(axis=1)
+    return float(means.std(ddof=1) / np.sqrt(n_batches))
+
+
 def gaussian_model(sd=1.0):
     return pk.ModelSpec(
         name="gaussian",
@@ -119,7 +129,7 @@ class TestAdaptiveMetropolis:
     def test_gaussian_mean_within_mc_error(self):
         cfg = pk.SamplerConfig(warmup_steps=2000, kept_draws=20000, seed=7)
         d = pk.adaptive_rw_metropolis(gaussian_model(), cfg)
-        se = pk.mcse_mean(d.draws[:, 0])
+        se = mcse_mean(d.draws[:, 0])
         assert abs(d.posterior_mean[0]) < 3 * se
         assert d.posterior_var[0] == pytest.approx(1.0, abs=0.1)
 
@@ -269,7 +279,7 @@ class TestConjugateGamma:
         d = pk.adaptive_rw_metropolis(
             model, pk.SamplerConfig(warmup_steps=2000, kept_draws=20000, seed=9)
         )
-        se = pk.mcse_mean(d.draws[:, 0])
+        se = mcse_mean(d.draws[:, 0])
         assert abs(d.posterior_mean[0] - a_post / b_post) < 3 * se
 
 
@@ -294,8 +304,10 @@ class TestLogLikMatrixFromDraws:
         model = gamma_toy_model(np.array([1.0, 2.0]))
         theta = np.array([0.7])
         row = model.pointwise_row(theta)
-        assert model.pointwise_log_lik(0, theta) == pytest.approx(row[0])
-        assert model.pointwise_log_lik(1, theta) == pytest.approx(row[1])
+        draws = pk.posterior_draws_from(np.array([theta, [1.3]]), 1.0, 0)
+        values = pk.loglik_matrix(model, draws).values
+        assert values[0, 0] == pytest.approx(row[0])
+        assert values[0, 1] == pytest.approx(row[1])
 
     def test_posterior_draws_moments(self):
         rng = np.random.default_rng(3)
@@ -313,9 +325,9 @@ class TestMcse:
     def test_iid_matches_theory(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=100000)
-        se = pk.mcse_mean(x)
+        se = mcse_mean(x)
         assert se == pytest.approx(1.0 / math.sqrt(100000), rel=0.25)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            pk.mcse_mean(np.zeros(10))
+            mcse_mean(np.zeros(10))
