@@ -289,7 +289,12 @@ def _write_outputs(
         reportio.write_summary_ndjson(outdir / "summary.ndjson", report, cfg.seed)
     if "svg" in cfg.formats:
         reportio.write_wapdi_svg(outdir / "wapdi.svg", report, cfg.seed, cfg.top_k)
-    payload = {**_run_payload(cfg), "waic": report.waic, **extra_meta}
+    payload = {
+        **_run_payload(cfg),
+        "waic": report.waic,
+        "n_excluded": report.n_excluded,
+        **extra_meta,
+    }
     if report.group_labels:
         payload["group_means"] = {
             label: asdict(stats)

@@ -18,6 +18,7 @@ single-column functions (the same kernel on one column) agree bitwise with
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, fields
 
@@ -51,6 +52,10 @@ FLAG_NEAR_SINGULAR = "near_singular_log_mu"
 FLAG_NONFINITE = "nonfinite_loglik"
 # Order in which flags are listed on a summary.
 _FLAGS = (FLAG_NONFINITE, FLAG_ZERO_VARIANCE, FLAG_NEAR_SINGULAR)
+
+# A datapoint id may hold none of these: the CSV writers do not quote, and
+# the readers split lines wherever str.splitlines does.
+_BAD_ID_CHARS = re.compile('[,"\n\r\v\f\x1c-\x1e\x85\u2028\u2029]')
 
 # Cells per kernel call in ``summarize``: keeps each of the kernel's
 # temporaries at a few MB however large the matrix is.
@@ -145,11 +150,16 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class MismatchReport:
-    """Ranked per-datapoint records, worst WAPDI first, plus the WAIC scalar."""
+    """Ranked per-datapoint records, worst WAPDI first, plus the WAIC scalar.
+
+    ``waic`` averages the finite WAIC terms; ``n_excluded`` counts the
+    datapoints whose term is not finite and so left out.
+    """
 
     rows: tuple[ReportRow, ...]
     waic: float
     group_labels: dict[str, str] | None = None
+    n_excluded: int = 0
 
 
 @dataclass(frozen=True)
@@ -157,6 +167,18 @@ class GroupStats:
     mean_wapdi: float
     mean_log_mu: float
     count: int
+
+
+def _finite_mean(values) -> tuple[float, int]:
+    """Mean of the finite entries of ``values``, and how many were left out.
+
+    With every entry finite this is exactly ``np.mean(values)``; with none
+    finite the mean is NaN.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    kept = values[np.isfinite(values)]
+    mean = float(np.mean(kept)) if kept.size else _NAN
+    return mean, values.size - kept.size
 
 
 def _var_rows(rows: np.ndarray, row_mean: np.ndarray) -> np.ndarray:
@@ -327,10 +349,11 @@ def waic(matrix: LogLikMatrix) -> tuple[float, np.ndarray]:
     """WAIC as the mean over datapoints of t(n) = -log mu(n) + sigma2_log(n).
 
     Returns (scalar, per-point terms). Zero-variance columns contribute a
-    zero penalty term.
+    zero penalty term; non-finite terms (flagged columns) are left out of the
+    scalar.
     """
     terms = np.array([s.waic_term for s in summarize(matrix)])
-    return float(np.mean(terms)), terms
+    return _finite_mean(terms)[0], terms
 
 
 def rank_report(
@@ -341,12 +364,19 @@ def rank_report(
     """Rank datapoints by WAPDI (rank 1 = most negative = worst).
 
     Ties break by ascending log_mu, then by id. The secondary ranking by
-    log_mu uses the mirrored key (log_mu, wapdi, id). Duplicate ids are
-    rejected.
+    log_mu uses the mirrored key (log_mu, wapdi, id). Duplicate ids, and ids
+    holding a comma, a double quote or a line break, are rejected. The WAIC
+    scalar averages the finite terms only.
     """
     ids = [str(i) for i in ids]
     if len(summaries) != len(ids):
         raise ValueError(f"{len(summaries)} summaries for {len(ids)} ids")
+    for index, datapoint_id in enumerate(ids):
+        if _BAD_ID_CHARS.search(datapoint_id):
+            raise ValueError(
+                f"datapoint id {datapoint_id!r} at index {index} contains a comma, "
+                "a double quote or a line break"
+            )
     counts = Counter(ids)
     if len(counts) != len(ids):
         dupes = sorted(i for i, c in counts.items() if c > 1)
@@ -373,9 +403,11 @@ def rank_report(
         )
         for i in order_w.tolist()
     )
-    waic_scalar = float(np.mean([s.waic_term for s in summaries]))
+    waic_scalar, n_excluded = _finite_mean([s.waic_term for s in summaries])
     labels = dict(group_labels) if group_labels is not None else None
-    return MismatchReport(rows=rows, waic=waic_scalar, group_labels=labels)
+    return MismatchReport(
+        rows=rows, waic=waic_scalar, group_labels=labels, n_excluded=n_excluded
+    )
 
 
 def group_aggregate(
@@ -384,7 +416,9 @@ def group_aggregate(
     """Per-group arithmetic means of WAPDI and log_mu, ordered by label.
 
     ``grouping`` maps datapoint id to label; defaults to the report's own
-    group labels. Every row must be covered.
+    group labels. Every row must be covered. Each mean is over the finite
+    values only (a flagged row's NaN WAPDI is left out); ``count`` is every
+    row of the group.
     """
     if grouping is None:
         grouping = report.group_labels
@@ -399,8 +433,8 @@ def group_aggregate(
     for label in sorted(buckets):
         rows = buckets[label]
         out[label] = GroupStats(
-            mean_wapdi=float(np.mean([r.summary.wapdi for r in rows])),
-            mean_log_mu=float(np.mean([r.summary.log_mu for r in rows])),
+            mean_wapdi=_finite_mean([r.summary.wapdi for r in rows])[0],
+            mean_log_mu=_finite_mean([r.summary.log_mu for r in rows])[0],
             count=len(rows),
         )
     return out

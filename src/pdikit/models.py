@@ -165,7 +165,10 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
         return _logsumexp_rows(comp, pi)
 
     def log_joint(theta):
-        return log_prior(theta) + float(pointwise_row(theta).sum())
+        # The row first: for a bad theta it raises the classified ValueError
+        # before the prior can warn on the same values.
+        row_sum = float(pointwise_row(theta).sum())
+        return log_prior(theta) + row_sum
 
     prior_mean = np.concatenate(
         [
@@ -356,11 +359,6 @@ class VoteTable:
         return tuple(f"r{i:05d}" for i in range(self.n))
 
 
-def _std_normal_logpdf(x, scale=1.0):
-    x = np.asarray(x, dtype=np.float64)
-    return -0.5 * (x / scale) ** 2 - np.log(scale) - 0.5 * np.log(2.0 * np.pi)
-
-
 def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
     """Hierarchical logistic regression over a VoteTable.
 
@@ -368,6 +366,13 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
     state level (hierarchical normal), plus an age or education level block
     for the with_age / with_edu variants. Group scales are positive and
     sampled through a log transform.
+
+    A respondent's likelihood depends only on its cell, the tuple (vote,
+    female, black, state[, age/edu]). The model keeps one covariate row per
+    distinct cell and each respondent's cell index, so a target call costs
+    O(cells) plus one length-N gather: the synthetic tables have 60 cells for
+    base and 219 for with_age at N = 2000, and 244 for with_edu at N = 5000.
+    Each respondent's value is the same float as a per-respondent evaluation.
 
     Constrained layout: [beta_female, beta_black, mu_state, sigma_state,
     alpha_state (J), (mu_extra, sigma_extra, alpha_extra (G))].
@@ -381,11 +386,25 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
     has_extra = variant != "base"
     n_extra = len(table.extra_codes) if has_extra else 0
 
-    female = table.female.astype(np.float64)
-    black = table.black.astype(np.float64)
-    y = table.vote.astype(np.float64)
-    state_idx = table.state
-    extra_idx = table.extra if has_extra else None
+    # One mixed-radix code per respondent: equal codes mean equal covariates
+    # and vote, so equal likelihoods.
+    digits = [
+        (table.vote, 2),
+        (table.female, 2),
+        (table.black, 2),
+        (table.state, n_states),
+    ]
+    if has_extra:
+        digits.append((table.extra, n_extra))
+    code = np.zeros(table.n, dtype=np.int64)
+    for column, radix in digits:
+        code = code * radix + column.astype(np.int64)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    y = table.vote[first].astype(np.float64)
+    female = table.female[first].astype(np.float64)
+    black = table.black[first].astype(np.float64)
+    state_idx = table.state[first]
+    extra_idx = table.extra[first] if has_extra else None
 
     blocks = [IdentityBlock(3), PositiveBlock(1), IdentityBlock(n_states)]
     if has_extra:
@@ -415,24 +434,32 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
             eta = eta + alpha_e[extra_idx]
         return eta
 
+    log_hyper = np.log(_HYPER_SCALE)
+    log_unit = np.log(1.0)
+    half_log_2pi = 0.5 * np.log(2.0 * np.pi)
+
+    def normal_logpdf(u, log_scale):
+        # Normal log density at x, given u = x / scale and log(scale).
+        return -0.5 * (u * u) - log_scale - half_log_2pi
+
     def log_prior(theta):
         beta, mu_s, sigma_s, alpha_s, mu_e, sigma_e, alpha_e = unpack(theta)
-        lp = _std_normal_logpdf(beta).sum()
-        lp += _std_normal_logpdf(mu_s, _HYPER_SCALE)
-        lp += _std_normal_logpdf(sigma_s, _HYPER_SCALE)
-        lp += _std_normal_logpdf((alpha_s - mu_s) / sigma_s).sum() - n_states * np.log(
+        lp = normal_logpdf(beta, log_unit).sum()
+        lp += normal_logpdf(mu_s / _HYPER_SCALE, log_hyper)
+        lp += normal_logpdf(sigma_s / _HYPER_SCALE, log_hyper)
+        lp += normal_logpdf((alpha_s - mu_s) / sigma_s, log_unit).sum() - n_states * np.log(
             sigma_s
         )
         if alpha_e is not None:
-            lp += _std_normal_logpdf(mu_e, _HYPER_SCALE)
-            lp += _std_normal_logpdf(sigma_e, _HYPER_SCALE)
-            lp += _std_normal_logpdf(
-                (alpha_e - mu_e) / sigma_e
+            lp += normal_logpdf(mu_e / _HYPER_SCALE, log_hyper)
+            lp += normal_logpdf(sigma_e / _HYPER_SCALE, log_hyper)
+            lp += normal_logpdf(
+                (alpha_e - mu_e) / sigma_e, log_unit
             ).sum() - n_extra * np.log(sigma_e)
         return float(lp)
 
     def pointwise_row(theta):
-        return _bernoulli_logit_loglik(y, linear_predictor(theta))
+        return _bernoulli_logit_loglik(y, linear_predictor(theta))[inverse]
 
     def log_joint(theta):
         return log_prior(theta) + float(np.sum(pointwise_row(theta)))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,13 +125,13 @@ class TestColumnEstimators:
             pk.pdi_ratio(col) + log_k, rel=1e-10
         )
 
-    def test_waic_flag_mode_nan_propagates(self):
+    def test_waic_flag_mode_leaves_out_nonfinite_terms(self):
         m = pk.LogLikMatrix(
             [[-np.inf, -1.0], [-2.0, -1.5]], allow_degenerate=True
         )
         scalar, terms = pk.waic(m)
-        assert math.isnan(scalar)
         assert math.isnan(terms[0]) and not math.isnan(terms[1])
+        assert scalar == terms[1]
 
     def test_rejects_empty_and_nan(self):
         with pytest.raises(ValueError):
@@ -429,6 +431,33 @@ class TestRanking:
         rep = pk.rank_report(s, ["a", "b"])
         assert rep.waic == pytest.approx(np.mean([r.summary.waic_term for r in rep.rows]))
 
+    def test_waic_leaves_out_nonfinite_terms(self):
+        rng = np.random.default_rng(8)
+        log_mus = rng.normal(-3.0, 2.0, 1001).tolist()
+        s = self._summaries([-0.1] * len(log_mus), log_mus=log_mus)
+        terms = [x.waic_term for x in s]
+        rep = pk.rank_report(s, [f"p{i}" for i in range(len(s))])
+        # All finite: exactly the plain mean.
+        assert rep.n_excluded == 0
+        assert rep.waic == float(np.mean(terms))
+        nan_term = dataclasses.replace(s[3], waic_term=float("nan"))
+        inf_term = dataclasses.replace(s[7], waic_term=float("inf"))
+        flagged = [nan_term if i == 3 else inf_term if i == 7 else x for i, x in enumerate(s)]
+        rep = pk.rank_report(flagged, [f"p{i}" for i in range(len(s))])
+        assert rep.n_excluded == 2
+        kept = [t for i, t in enumerate(terms) if i not in (3, 7)]
+        assert rep.waic == float(np.mean(kept))
+        none_finite = [dataclasses.replace(x, waic_term=float("nan")) for x in s[:3]]
+        rep = pk.rank_report(none_finite, ["a", "b", "c"])
+        assert math.isnan(rep.waic) and rep.n_excluded == 3
+
+    @pytest.mark.parametrize("bad", ["a,b", 'say "hi"', "a\nb", "a\r", "a\u2028b", "\x0c"])
+    def test_ids_that_break_a_csv_row_rejected(self, bad):
+        s = self._summaries([-0.1, -0.2, -0.3])
+        message = f"datapoint id {bad!r} at index 1 contains"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pk.rank_report(s, ["ok", bad, "fine"])
+
     def test_rank_log_mu(self):
         s = self._summaries([-0.1, -0.2], log_mus=[-5.0, -1.0])
         rep = pk.rank_report(s, ["a", "b"])
@@ -463,6 +492,17 @@ class TestGrouping:
         out = pk.group_aggregate(rep)
         assert out["all"].mean_wapdi == pytest.approx(np.mean(wapdis))
         assert out["all"].mean_log_mu == pytest.approx(np.mean(log_mus))
+
+    def test_flagged_rows_left_out_of_means(self):
+        wapdis, log_mus = [-0.2, float("nan"), -0.4, -0.7], [-1.0, -np.inf, -3.0, -2.0]
+        labels = {"a": "g", "b": "g", "c": "g", "d": "h"}
+        out = pk.group_aggregate(self._report(wapdis, log_mus, list("abcd"), labels))
+        assert out["g"].mean_wapdi == float(np.mean([-0.2, -0.4]))
+        assert out["g"].mean_log_mu == float(np.mean([-1.0, -3.0]))
+        assert out["g"].count == 3
+        assert out["h"].mean_wapdi == -0.7
+        only_flagged = self._report([float("nan")], [-1.0], ["a"], {"a": "g"})
+        assert math.isnan(pk.group_aggregate(only_flagged)["g"].mean_wapdi)
 
     def test_missing_label_rejected(self):
         rep = self._report([-0.1, -0.2], [-1, -1], ["a", "b"], None)

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
 import pdikit as pk
-from pdikit import datasets, models
+from pdikit import datasets, models, reportio
 
 
 def gamma_logpdf(x, shape, rate):
@@ -354,3 +354,139 @@ class TestHierLogReg:
         )
         assert d.posterior_mean[0] < 0  # beta_female
         assert d.posterior_mean[1] < 0  # beta_black
+
+
+def std_normal_logpdf(x, scale=1.0):
+    x = np.asarray(x, dtype=np.float64)
+    return -0.5 * (x / scale) ** 2 - np.log(scale) - 0.5 * np.log(2.0 * np.pi)
+
+
+def per_respondent_target(table, variant):
+    """The voting target evaluated respondent by respondent: (row, prior, joint)."""
+    female = table.female.astype(np.float64)
+    black = table.black.astype(np.float64)
+    y = table.vote.astype(np.float64)
+    n_states = len(table.state_codes)
+    n_extra = len(table.extra_codes) if variant != "base" else 0
+
+    def row(theta):
+        eta = theta[0] * female + theta[1] * black + theta[4 : 4 + n_states][table.state]
+        if n_extra:
+            off = 4 + n_states
+            eta = eta + theta[off + 2 : off + 2 + n_extra][table.extra]
+        return y * log_sigmoid(eta) + (1.0 - y) * log_sigmoid(-eta)
+
+    def prior(theta):
+        mu_s, sigma_s, alpha_s = theta[2], theta[3], theta[4 : 4 + n_states]
+        lp = std_normal_logpdf(theta[:2]).sum()
+        lp += std_normal_logpdf(mu_s, 10.0)
+        lp += std_normal_logpdf(sigma_s, 10.0)
+        lp += std_normal_logpdf((alpha_s - mu_s) / sigma_s).sum() - n_states * np.log(sigma_s)
+        if n_extra:
+            off = 4 + n_states
+            mu_e, sigma_e = theta[off], theta[off + 1]
+            alpha_e = theta[off + 2 : off + 2 + n_extra]
+            lp += std_normal_logpdf(mu_e, 10.0)
+            lp += std_normal_logpdf(sigma_e, 10.0)
+            lp += std_normal_logpdf((alpha_e - mu_e) / sigma_e).sum() - n_extra * np.log(
+                sigma_e
+            )
+        return float(lp)
+
+    return row, prior, lambda theta: prior(theta) + float(np.sum(row(theta)))
+
+
+def same_bits(a, b):
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def every_cell_table(n_states, n_extra):
+    """One respondent per (vote, female, black, state, extra) tuple, shuffled."""
+    grid = np.stack(
+        np.meshgrid(*[np.arange(k) for k in (2, 2, 2, n_states, n_extra)], indexing="ij"),
+        axis=-1,
+    ).reshape(-1, 5)
+    grid = grid[np.random.default_rng(4).permutation(len(grid))]
+    return models.VoteTable(
+        vote=grid[:, 0],
+        female=grid[:, 1],
+        black=grid[:, 2],
+        state=grid[:, 3],
+        state_codes=tuple(f"s{j}" for j in range(n_states)),
+        extra=grid[:, 4],
+        extra_codes=tuple(f"e{g}" for g in range(n_extra)),
+    )
+
+
+class TestHierLogRegCells:
+    """The cell-wise target gives each respondent the bits of a per-respondent evaluation."""
+
+    def _thetas(self, model, table):
+        rng = np.random.default_rng(17)
+        z0 = model.transform.unconstrain(model.prior_mean)
+        out = [
+            model.transform.constrain(z0 + scale * rng.standard_normal(model.dim))
+            for scale in (0.3, 1.0, 3.0)
+            for _ in range(6)
+        ]
+        n_states = len(table.state_codes)
+        for sign in (1.0, -1.0):  # etas of +-700 and beyond
+            theta = out[0].copy()
+            theta[4 : 4 + n_states] = sign * 700.0
+            theta[:2] = [0.0, -sign * 0.5]
+            out.append(theta)
+        return out
+
+    def _check(self, table, variant):
+        model = models.hier_logreg_model(table, variant)
+        row, prior, joint = per_respondent_target(table, variant)
+        assert model.data_count == table.n
+        for theta in self._thetas(model, table):
+            got = model.pointwise_row(theta)
+            assert got.shape == (table.n,)
+            assert same_bits(got, row(theta))
+            assert same_bits(model.log_prior(theta), prior(theta))
+            assert same_bits(model.log_joint(theta), joint(theta))
+
+    @pytest.mark.parametrize("variant", models.HIER_VARIANTS)
+    def test_simulated_tables(self, variant):
+        table, _ = models.simulate_votes(400, seed=6, variant=variant)
+        self._check(table, variant)
+        if variant != "base":
+            self._check(table, "base")  # the extra column is ignored
+
+    def test_table_read_from_csv(self, tmp_path):
+        rng = np.random.default_rng(9)
+        lines = ["vote,sex,race,state,age"] + [
+            f"{rng.integers(2)},{rng.integers(2)},{rng.integers(2)},"
+            f"{rng.choice(['ny', 'ca', 'tx'])},{rng.choice([20, 40, 70])}"
+            for _ in range(150)
+        ]
+        path = tmp_path / "votes.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table = reportio.read_votes_csv(path)
+        self._check(table, "base")
+        self._check(table, "with_age")
+
+    def test_one_cell(self):
+        ones = np.ones(25, dtype=np.int64)
+        table = models.VoteTable(
+            vote=ones, female=0 * ones, black=ones, state=0 * ones, state_codes=("only",)
+        )
+        self._check(table, "base")
+
+    @pytest.mark.parametrize("variant", ["base", "with_edu"])
+    def test_every_respondent_its_own_cell(self, variant):
+        self._check(every_cell_table(n_states=3, n_extra=2), variant)
+
+    def test_returned_row_is_a_fresh_array(self):
+        table, _ = models.simulate_votes(200, seed=1)
+        model = models.hier_logreg_model(table)
+        theta = self._thetas(model, table)[1]
+        first = model.pointwise_row(theta)
+        want = first.copy()
+        first[:] = 0.0
+        assert same_bits(model.pointwise_row(theta), want)
+        assert same_bits(model.log_joint(theta), per_respondent_target(table, "base")[2](theta))

@@ -228,18 +228,31 @@ class TestStrictJson:
         argv = ["compute", "--input", str(matrix), "--groups", str(groups), "--out", str(out)]
         assert main(argv + ["--allow-degenerate", "--formats", "csv,ndjson"]) == 0
         run = _strict((out / "run.json").read_text())
-        assert run["waic"] is None
-        assert run["group_means"]["g1"]["mean_wapdi"] is None
-        assert run["group_means"]["g2"]["mean_wapdi"] is not None
         records = [_strict(line) for line in (out / "summary.ndjson").read_text().splitlines()]
-        assert records[0]["waic"] is None
         by_id = {r["id"]: r for r in records[1:]}
         assert by_id["a"]["flags"] == ["nonfinite_loglik"]
         assert by_id["a"]["wapdi"] is None and by_id["a"]["log_mu"] is not None
         assert None not in by_id["b"].values()
+        # The WAIC scalar and the group means average the finite terms only.
+        assert run["n_excluded"] == 1
+        assert run["waic"] == by_id["b"]["waic_term"]
+        assert records[0]["waic"] == run["waic"]
+        assert run["group_means"]["g1"]["mean_wapdi"] is None  # its only row is flagged
+        assert run["group_means"]["g1"]["mean_log_mu"] == by_id["a"]["log_mu"]
+        assert run["group_means"]["g2"]["mean_wapdi"] == by_id["b"]["wapdi"]
         # summary.csv keeps repr floats, nan included
         rows = {r["id"]: r for r in reportio.read_summary_csv(out / "summary.csv")}
         assert np.isnan(rows["a"]["wapdi"])
+
+    def test_quote_in_header_id_rejected(self, tmp_path, capsys):
+        matrix = write(tmp_path, ['a,say "b"', "-1.0,-2.0", "-1.1,-2.5"])
+        out = tmp_path / "out"
+        assert main(["compute", "--input", str(matrix), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "pdikit: error: datapoint id 'say \"b\"' at index 1 contains a comma, "
+            "a double quote or a line break\n"
+        )
+        assert not (out / "summary.csv").exists()
 
     def test_nested_non_finite_values_become_null(self, tmp_path):
         payload = {"x": [1.0, float("-inf")], "y": {"z": float("nan"), "w": (2.0, "s")}}
