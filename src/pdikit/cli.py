@@ -30,13 +30,8 @@ from .samplers import (
 )
 from .taylor import compare_exact_vs_taylor
 
-MODEL_NAMES = (
-    "presidents-nb2",
-    "toy-gamma",
-    "voting-base",
-    "voting-age",
-    "voting-edu",
-)
+_VOTING_VARIANTS = {"voting-base": "base", "voting-age": "with_age", "voting-edu": "with_edu"}
+MODEL_NAMES = ("presidents-nb2", "toy-gamma", *_VOTING_VARIANTS)
 FORMATS = ("csv", "ndjson", "svg")
 
 
@@ -72,13 +67,14 @@ class RunConfig:
         )
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
+def _add_output_args(p: argparse.ArgumentParser, formats: bool = True) -> None:
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument(
-        "--formats",
-        default="csv",
-        help=f"comma-separated subset of {','.join(FORMATS)} (default csv)",
-    )
+    if formats:
+        p.add_argument(
+            "--formats",
+            default="csv",
+            help=f"comma-separated subset of {','.join(FORMATS)} (default csv)",
+        )
     p.add_argument("--top-k", type=int, default=None, help="truncate ranked outputs")
 
 
@@ -157,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-lemma", help="exact vs Taylor-approximate WAPDI")
     _add_model_args(p)
     _add_sampler_args(p)
-    _add_output_args(p)
+    _add_output_args(p, formats=False)
     return parser
 
 
@@ -184,11 +180,6 @@ def parse_args(argv) -> RunConfig:
         if cfg.group_by in ("age", "edu") and cfg.model != f"voting-{cfg.group_by}":
             parser.error(f"--group-by {cfg.group_by} needs --model voting-{cfg.group_by}")
     return cfg
-
-
-def _voting_variant(model_name: str) -> str:
-    suffix = model_name.removeprefix("voting-")
-    return {"base": "base", "age": "with_age", "edu": "with_edu"}[suffix]
 
 
 @dataclass(frozen=True)
@@ -220,7 +211,7 @@ def _build_model(cfg: RunConfig) -> _BuiltModel:
             source = f"synthetic gamma draws (n={n})"
         model = models.gamma_toy_model(data)
         return _BuiltModel(model, None, {"data": source, "n": int(data.size)}, data)
-    variant = _voting_variant(cfg.model)
+    variant = _VOTING_VARIANTS[cfg.model]
     if cfg.data:
         table = reportio.read_votes_csv(cfg.data)
         if variant != "base" and table.extra is None:
@@ -235,24 +226,28 @@ def _build_model(cfg: RunConfig) -> _BuiltModel:
     model = models.hier_logreg_model(table, variant)
     labels = None
     if cfg.group_by:
-        ids = model.datapoint_ids
-        if cfg.group_by == "state":
-            labels = {
-                ids[i]: table.state_codes[table.state[i]] for i in range(table.n)
-            }
-        else:
-            labels = {
-                ids[i]: table.extra_codes[table.extra[i]] for i in range(table.n)
-            }
+        codes, column = (
+            (table.state_codes, table.state)
+            if cfg.group_by == "state"
+            else (table.extra_codes, table.extra)
+        )
+        labels = dict(zip(model.datapoint_ids, (codes[i] for i in column)))
     meta = {"data": source, "n": table.n, "variant": variant}
     return _BuiltModel(model, labels, meta, None)
 
 
-def _sample(built: _BuiltModel, cfg: RunConfig):
-    """Posterior draws for a built-in model; exact for the conjugate toy."""
+def _fit_matrix(cfg: RunConfig):
+    """Build, sample and score a built-in model: (built, draws, matrix, meta).
+
+    The conjugate toy is sampled exactly, every other model by Metropolis.
+    Prints the sampler's warnings; ``meta`` holds the ``run.json`` fields
+    that ``fit`` and ``check-lemma`` share.
+    """
     from . import models
 
+    built = _build_model(cfg)
     if cfg.model == "toy-gamma":
+        sampler_name = "conjugate-exact"
         draws = conjugate_gamma_draws(
             built.dataset,
             models.TOY_PRIOR_SHAPE,
@@ -261,14 +256,25 @@ def _sample(built: _BuiltModel, cfg: RunConfig):
             cfg.draws,
             cfg.seed,
         )
-        return draws, "conjugate-exact"
-    draws = adaptive_rw_metropolis(built.model, cfg.sampler_config())
+    else:
+        sampler_name = "adaptive-rw-metropolis"
+        draws = adaptive_rw_metropolis(built.model, cfg.sampler_config())
     if cfg.model == "presidents-nb2":
         relabeled = models.relabel_by_dispersion(draws.draws)
         draws = posterior_draws_from(
             relabeled, draws.acceptance_rate, draws.seed, draws.warnings
         )
-    return draws, "adaptive-rw-metropolis"
+    matrix = loglik_matrix(built.model, draws)
+    for w in draws.warnings:
+        print(f"pdikit: warning: {w}", file=sys.stderr)
+    meta = {
+        **built.meta,
+        "model": cfg.model,
+        "sampler": sampler_name,
+        "acceptance_rate": draws.acceptance_rate,
+        "sampler_warnings": list(draws.warnings),
+    }
+    return built, draws, matrix, meta
 
 
 def _run_payload(cfg: RunConfig) -> dict:
@@ -317,24 +323,11 @@ def _cmd_compute(cfg: RunConfig) -> int:
 
 
 def _cmd_fit(cfg: RunConfig) -> int:
-    built = _build_model(cfg)
     if cfg.dump_data:
-        return _dump_data(cfg, built)
-    draws, sampler_name = _sample(built, cfg)
-    matrix = loglik_matrix(built.model, draws)
+        return _dump_data(cfg, _build_model(cfg))
+    built, _, matrix, meta = _fit_matrix(cfg)
     report = rank_report(summarize(matrix), matrix.datapoint_ids, built.labels)
-    meta = dict(built.meta)
-    meta.update(
-        {
-            "model": cfg.model,
-            "sampler": sampler_name,
-            "acceptance_rate": draws.acceptance_rate,
-            "sampler_warnings": list(draws.warnings),
-        }
-    )
     _write_outputs(Path(cfg.out), report, cfg, meta)
-    for w in draws.warnings:
-        print(f"pdikit: warning: {w}", file=sys.stderr)
     return 0
 
 
@@ -381,9 +374,7 @@ def _cmd_report(cfg: RunConfig) -> int:
 
 
 def _cmd_check_lemma(cfg: RunConfig) -> int:
-    built = _build_model(cfg)
-    draws, sampler_name = _sample(built, cfg)
-    matrix = loglik_matrix(built.model, draws)
+    built, draws, matrix, meta = _fit_matrix(cfg)
     taylor_report = compare_exact_vs_taylor(built.model, draws, matrix)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -402,10 +393,9 @@ def _cmd_check_lemma(cfg: RunConfig) -> int:
         outdir / "run.json",
         {
             **_run_payload(cfg),
-            "sampler": sampler_name,
             "posterior_mean": taylor_report.posterior_mean.tolist(),
             "posterior_var": taylor_report.posterior_var.tolist(),
-            **built.meta,
+            **meta,
         },
     )
     return 0

@@ -189,7 +189,7 @@ def _var_rows(rows: np.ndarray, row_mean: np.ndarray) -> np.ndarray:
     return d.sum(axis=1) / (rows.shape[1] - 1)
 
 
-def _dispersion_rows(block: np.ndarray, eps: float) -> dict[str, np.ndarray]:
+def _dispersion_rows(block: np.ndarray) -> dict[str, np.ndarray]:
     """Every per-column quantity of an S x n block, as n-arrays.
 
     Keys are the ``PointwiseSummary`` fields plus one boolean mask per flag.
@@ -213,7 +213,7 @@ def _dispersion_rows(block: np.ndarray, eps: float) -> dict[str, np.ndarray]:
         var_lik = _var_rows(lik, mean_lik)
         zero_variance = var_lik == 0.0
         log_sigma2 = np.where(zero_variance, -np.inf, 2.0 * m + np.log(var_lik))
-        small = np.abs(log_mu) < eps
+        small = np.abs(log_mu) < NEAR_SINGULAR_EPS
         # Rows with a -inf entry never get the near-singular flag; their
         # sigma2_log, and so their wapdi, is already NaN. Adding 0.0 turns the
         # -0.0 of a zero-variance row into 0.0 and changes no other value.
@@ -265,9 +265,9 @@ def _as_column(column, min_draws: int = 1) -> np.ndarray:
     return col
 
 
-def _column_field(column, field: str, min_draws: int = 2, eps=NEAR_SINGULAR_EPS):
+def _column_field(column, field: str, min_draws: int = 2):
     col = _as_column(column, min_draws)
-    return float(_dispersion_rows(col[:, None], eps)[field][0])
+    return float(_dispersion_rows(col[:, None])[field][0])
 
 
 def log_posterior_predictive(column) -> float:
@@ -311,14 +311,15 @@ def log_var_lik(column) -> float:
     return _column_field(column, "log_sigma2")
 
 
-def wapdi(column, *, eps: float = NEAR_SINGULAR_EPS) -> float:
+def wapdi(column) -> float:
     """var_log_lik / log_posterior_predictive for one column.
 
     Negative for well-behaved columns (log mu < 0, positive variance);
-    small magnitudes mean a well-modeled point. Returns NaN when |log mu| < ``eps`` -- a
-    near-singular denominator is flagged rather than amplified.
+    small magnitudes mean a well-modeled point. Returns NaN when |log mu| <
+    ``NEAR_SINGULAR_EPS`` -- a near-singular denominator is flagged rather
+    than amplified.
     """
-    return _column_field(column, "wapdi", eps=eps)
+    return _column_field(column, "wapdi")
 
 
 def pdi_ratio(column) -> float:
@@ -329,9 +330,7 @@ def pdi_ratio(column) -> float:
     return _column_field(column, "pdi_ratio_log")
 
 
-def summarize(
-    matrix: LogLikMatrix, *, eps: float = NEAR_SINGULAR_EPS
-) -> list[PointwiseSummary]:
+def summarize(matrix: LogLikMatrix) -> list[PointwiseSummary]:
     """Apply every column estimator to each column of the matrix.
 
     Columns are independent; degeneracies are recorded per row via flags and
@@ -341,7 +340,7 @@ def summarize(
     step = max(1, BLOCK_CELLS // matrix.draw_count)
     out: list[PointwiseSummary] = []
     for start in range(0, matrix.point_count, step):
-        out += _summaries(_dispersion_rows(values[:, start : start + step], eps))
+        out += _summaries(_dispersion_rows(values[:, start : start + step]))
     return out
 
 

@@ -336,20 +336,17 @@ class VoteTable:
 
     def __post_init__(self):
         n = self.vote.size
-        for name in ("female", "black", "state"):
-            if getattr(self, name).size != n:
+        for name in ("female", "black", "state", "extra"):
+            col = getattr(self, name)
+            if col is not None and col.size != n:
                 raise ValueError(f"column {name} has wrong length")
         for name in ("vote", "female", "black"):
-            col = getattr(self, name)
-            if not np.isin(col, (0, 1)).all():
+            if not np.isin(getattr(self, name), (0, 1)).all():
                 raise ValueError(f"column {name} must be 0/1")
-        if self.state.min() < 0 or self.state.max() >= len(self.state_codes):
-            raise ValueError("state code out of range")
-        if self.extra is not None:
-            if self.extra.size != n:
-                raise ValueError("extra column has wrong length")
-            if self.extra.min() < 0 or self.extra.max() >= len(self.extra_codes):
-                raise ValueError("age/edu code out of range")
+        for name, codes in (("state", self.state_codes), ("extra", self.extra_codes)):
+            col = getattr(self, name)
+            if col is not None and (col.min() < 0 or col.max() >= len(codes)):
+                raise ValueError(f"column {name} has a code out of range")
 
     @property
     def n(self) -> int:
@@ -374,64 +371,46 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
     base and 219 for with_age at N = 2000, and 244 for with_edu at N = 5000.
     Each respondent's value is the same float as a per-respondent evaluation.
 
-    Constrained layout: [beta_female, beta_black, mu_state, sigma_state,
-    alpha_state (J), (mu_extra, sigma_extra, alpha_extra (G))].
+    Constrained layout: [beta_female, beta_black], then for each group (the
+    state, then age or edu) [mu, sigma, alpha (levels)].
     """
     if variant not in HIER_VARIANTS:
         raise ValueError(f"variant must be one of {HIER_VARIANTS}")
     if variant != "base" and table.extra is None:
         raise ValueError(f"variant {variant!r} needs the age/edu column")
 
-    n_states = len(table.state_codes)
-    has_extra = variant != "base"
-    n_extra = len(table.extra_codes) if has_extra else 0
+    # (per-respondent level, number of levels) of each hierarchical group
+    group_columns = [(table.state, len(table.state_codes))]
+    if variant != "base":
+        group_columns.append((table.extra, len(table.extra_codes)))
 
     # One mixed-radix code per respondent: equal codes mean equal covariates
     # and vote, so equal likelihoods.
-    digits = [
-        (table.vote, 2),
-        (table.female, 2),
-        (table.black, 2),
-        (table.state, n_states),
-    ]
-    if has_extra:
-        digits.append((table.extra, n_extra))
     code = np.zeros(table.n, dtype=np.int64)
+    digits = [(table.vote, 2), (table.female, 2), (table.black, 2), *group_columns]
     for column, radix in digits:
         code = code * radix + column.astype(np.int64)
     _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
     y = table.vote[first].astype(np.float64)
     female = table.female[first].astype(np.float64)
     black = table.black[first].astype(np.float64)
-    state_idx = table.state[first]
-    extra_idx = table.extra[first] if has_extra else None
 
-    blocks = [IdentityBlock(3), PositiveBlock(1), IdentityBlock(n_states)]
-    if has_extra:
-        blocks += [IdentityBlock(1), PositiveBlock(1), IdentityBlock(n_extra)]
-
-    def unpack(theta):
-        beta = theta[:2]
-        mu_s, sigma_s = theta[2], theta[3]
-        alpha_s = theta[4 : 4 + n_states]
-        if not has_extra:
-            return beta, mu_s, sigma_s, alpha_s, None, None, None
-        off = 4 + n_states
-        return (
-            beta,
-            mu_s,
-            sigma_s,
-            alpha_s,
-            theta[off],
-            theta[off + 1],
-            theta[off + 2 : off + 2 + n_extra],
-        )
+    # Each group as (offset of its mu in theta, n levels, per-cell index of
+    # its alpha in theta). Positive-constrained scales start at the
+    # folded-normal prior mean.
+    half_normal_mean = _HYPER_SCALE * np.sqrt(2.0 / np.pi)
+    groups, blocks, prior_mean = [], [IdentityBlock(2)], [0.0, 0.0]
+    off = 2
+    for column, n in group_columns:
+        groups.append((off, n, column[first].astype(np.int64) + (off + 2)))
+        blocks += [IdentityBlock(1), PositiveBlock(1), IdentityBlock(n)]
+        prior_mean += [0.0, half_normal_mean] + [0.0] * n
+        off += 2 + n
 
     def linear_predictor(theta):
-        beta, _, _, alpha_s, _, _, alpha_e = unpack(theta)
-        eta = beta[0] * female + beta[1] * black + alpha_s[state_idx]
-        if alpha_e is not None:
-            eta = eta + alpha_e[extra_idx]
+        eta = theta[0] * female + theta[1] * black
+        for _, _, alpha_idx in groups:
+            eta = eta + theta[alpha_idx]
         return eta
 
     log_hyper = np.log(_HYPER_SCALE)
@@ -443,19 +422,12 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         return -0.5 * (u * u) - log_scale - half_log_2pi
 
     def log_prior(theta):
-        beta, mu_s, sigma_s, alpha_s, mu_e, sigma_e, alpha_e = unpack(theta)
-        lp = normal_logpdf(beta, log_unit).sum()
-        lp += normal_logpdf(mu_s / _HYPER_SCALE, log_hyper)
-        lp += normal_logpdf(sigma_s / _HYPER_SCALE, log_hyper)
-        lp += normal_logpdf((alpha_s - mu_s) / sigma_s, log_unit).sum() - n_states * np.log(
-            sigma_s
-        )
-        if alpha_e is not None:
-            lp += normal_logpdf(mu_e / _HYPER_SCALE, log_hyper)
-            lp += normal_logpdf(sigma_e / _HYPER_SCALE, log_hyper)
-            lp += normal_logpdf(
-                (alpha_e - mu_e) / sigma_e, log_unit
-            ).sum() - n_extra * np.log(sigma_e)
+        lp = normal_logpdf(theta[:2], log_unit).sum()
+        for off, n, _ in groups:
+            mu, sigma, alpha = theta[off], theta[off + 1], theta[off + 2 : off + 2 + n]
+            lp += normal_logpdf(mu / _HYPER_SCALE, log_hyper)
+            lp += normal_logpdf(sigma / _HYPER_SCALE, log_hyper)
+            lp += normal_logpdf((alpha - mu) / sigma, log_unit).sum() - n * np.log(sigma)
         return float(lp)
 
     def pointwise_row(theta):
@@ -464,16 +436,6 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
     def log_joint(theta):
         return log_prior(theta) + float(np.sum(pointwise_row(theta)))
 
-    # Positive-constrained scales start at the folded-normal prior mean.
-    half_normal_mean = _HYPER_SCALE * np.sqrt(2.0 / np.pi)
-    prior_mean = np.concatenate(
-        [
-            np.zeros(3),
-            [half_normal_mean],
-            np.zeros(n_states),
-            ([0.0, half_normal_mean] + [0.0] * n_extra) if has_extra else [],
-        ]
-    )
     return ModelSpec(
         name=f"hier-logreg-{variant}",
         transform=BlockTransform(blocks),
@@ -482,13 +444,24 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         pointwise_row=pointwise_row,
         data_count=table.n,
         datapoint_ids=table.row_ids(),
-        prior_mean=prior_mean,
+        prior_mean=np.array(prior_mean),
     )
 
 
 _SYNTH_STATES = ("ca", "dc", "ma", "nv", "ny", "wa", "wi", "wy")
-_SYNTH_AGE = ("18-29", "30-44", "45-64", "65+")
-_SYNTH_EDU = ("no-hs", "hs", "some-college", "college")
+# (truth key, category codes, true levels) of each expanded variant's group
+_SYNTH_EXTRA = {
+    "with_age": (
+        "alpha_age",
+        ("18-29", "30-44", "45-64", "65+"),
+        (-0.5, -0.1, 0.2, 0.6),
+    ),
+    "with_edu": (
+        "alpha_edu",
+        ("no-hs", "hs", "some-college", "college"),
+        (0.5, 0.2, -0.1, -0.6),
+    ),
+}
 
 
 def simulate_votes(
@@ -521,20 +494,12 @@ def simulate_votes(
         "mu_state": mu_state,
         "sigma_state": sigma_state,
     }
-    extra = None
-    extra_codes: tuple[str, ...] = ()
-    if variant == "with_age":
-        extra_codes = _SYNTH_AGE
-        levels = np.array([-0.5, -0.1, 0.2, 0.6])
+    extra, extra_codes = None, ()
+    if variant != "base":
+        key, extra_codes, levels = _SYNTH_EXTRA[variant]
+        truth[key] = np.array(levels)
         extra = rng.integers(0, len(extra_codes), size=n)
-        eta = eta + levels[extra]
-        truth["alpha_age"] = levels
-    elif variant == "with_edu":
-        extra_codes = _SYNTH_EDU
-        levels = np.array([0.5, 0.2, -0.1, -0.6])
-        extra = rng.integers(0, len(extra_codes), size=n)
-        eta = eta + levels[extra]
-        truth["alpha_edu"] = levels
+        eta = eta + truth[key][extra]
 
     vote = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(np.int64)
     table = VoteTable(

@@ -337,12 +337,20 @@ def read_values_csv(path) -> np.ndarray:
 _VOTE_REQUIRED = ("vote", "sex", "race", "state")
 
 
+def _category_index(values) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values, as strings, and each value's index among them."""
+    distinct = sorted(set(values))
+    lookup = {v: i for i, v in enumerate(distinct)}
+    return tuple(str(v) for v in distinct), np.array([lookup[v] for v in values])
+
+
 def read_votes_csv(path) -> VoteTable:
-    """Read the survey schema: vote,sex,race,state[,age][,edu].
+    """Read the survey schema: vote,sex,race,state[,age|edu].
 
     vote: 0/1; sex: 0=male, 1=female; race: 1=black, 0 otherwise; state: a
-    string code; age/edu: small non-negative integer category codes. Category
-    indices are assigned from the sorted distinct codes in the file.
+    string code; age or edu (at most one of them): small non-negative integer
+    category codes. Category indices are assigned from the sorted distinct
+    codes in the file.
     """
     # models needs scipy; import it only when a votes file is read.
     from .models import VoteTable
@@ -355,6 +363,8 @@ def read_votes_csv(path) -> VoteTable:
     missing = [c for c in _VOTE_REQUIRED if c not in header]
     if missing:
         raise InputFormatError(f"{path}: missing columns: {', '.join(missing)}")
+    if "age" in header and "edu" in header:
+        raise InputFormatError(f"{path}: columns 'age' and 'edu' both present; keep one")
     extra_col = next((c for c in ("age", "edu") if c in header), None)
     idx = {c: header.index(c) for c in header}
 
@@ -384,15 +394,8 @@ def read_votes_csv(path) -> VoteTable:
         if extra_col:
             extra_raw.append(int_cell(cells, extra_col, line_no))
 
-    state_codes = tuple(sorted(set(state_raw)))
-    state = np.array([state_codes.index(s) for s in state_raw])
-    extra = None
-    extra_codes: tuple[str, ...] = ()
-    if extra_col:
-        distinct = sorted(set(extra_raw))
-        extra_codes = tuple(str(v) for v in distinct)
-        lookup = {v: i for i, v in enumerate(distinct)}
-        extra = np.array([lookup[v] for v in extra_raw])
+    state_codes, state = _category_index(state_raw)
+    extra_codes, extra = _category_index(extra_raw) if extra_col else ((), None)
     return VoteTable(
         vote=np.array(vote),
         female=np.array(female),

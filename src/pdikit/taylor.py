@@ -81,20 +81,18 @@ def wapdi_taylor(
     posterior_mean,
     posterior_var,
     log_mu_n: float,
-    *,
-    eps: float = NEAR_SINGULAR_EPS,
 ) -> float:
     """First-order WAPDI estimate: sum_d g_d^2 v_d / log mu(n).
 
     Exactly 0 when the gradient vanishes; NaN when the gradient is non-finite
-    or |log mu(n)| < eps.
+    or |log mu(n)| < NEAR_SINGULAR_EPS.
     """
     g = pointwise_gradient(model, n, posterior_mean)
-    return _taylor_from_gradient(g, posterior_var, log_mu_n, eps)
+    return _taylor_from_gradient(g, posterior_var, log_mu_n)
 
 
-def _taylor_from_gradient(g, posterior_var, log_mu_n, eps):
-    if abs(log_mu_n) < eps or not np.all(np.isfinite(g)):
+def _taylor_from_gradient(g, posterior_var, log_mu_n):
+    if abs(log_mu_n) < NEAR_SINGULAR_EPS or not np.all(np.isfinite(g)):
         return float("nan")
     v = np.asarray(posterior_var, dtype=np.float64)
     return float(np.sum(g * g * v)) / log_mu_n
@@ -104,8 +102,6 @@ def compare_exact_vs_taylor(
     model: ModelSpec,
     draws: PosteriorDraws,
     matrix: LogLikMatrix,
-    *,
-    eps: float = NEAR_SINGULAR_EPS,
 ) -> TaylorReport:
     """Pair the exact WAPDI of every datapoint with its Taylor estimate.
 
@@ -118,12 +114,12 @@ def compare_exact_vs_taylor(
             f"matrix has {matrix.point_count} columns, model scores "
             f"{model.data_count} datapoints"
         )
-    summaries = summarize(matrix, eps=eps)
+    summaries = summarize(matrix)
     jac = _jacobian(model, draws.posterior_mean)
     rows = []
     for n, summary in enumerate(summaries):
         g = jac[n].copy()
-        approx = _taylor_from_gradient(g, draws.posterior_var, summary.log_mu, eps)
+        approx = _taylor_from_gradient(g, draws.posterior_var, summary.log_mu)
         exact = summary.wapdi
         rows.append(
             TaylorRow(

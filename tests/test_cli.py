@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -404,6 +405,25 @@ class TestVotesCsvErrors:
         assert rc == 3
         assert "age/edu" in capsys.readouterr().err
 
+    def test_state_codes_sorted_and_indexed(self, tmp_path):
+        p = tmp_path / "v.csv"
+        p.write_text("vote,sex,race,state\n1,0,0,wy\n0,1,0,ak\n1,0,1,ny\n0,0,0,ak\n")
+        table = reportio.read_votes_csv(p)
+        assert table.state_codes == ("ak", "ny", "wy")
+        assert table.state.tolist() == [2, 0, 1, 0]
+
+    def test_age_and_edu_together_rejected(self, tmp_path, capsys):
+        p = tmp_path / "both.csv"
+        p.write_text("vote,sex,race,state,age,edu\n1,0,0,ny,20,1\n0,1,0,wy,40,2\n")
+        message = f"{p}: columns 'age' and 'edu' both present"
+        with pytest.raises(reportio.InputFormatError, match="^" + re.escape(message)):
+            reportio.read_votes_csv(p)
+        out = tmp_path / "o"
+        argv = ["fit", "--model", "voting-edu", "--data", str(p), "--group-by", "edu"]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"pdikit: error: {message}")
+        assert not out.exists()
+
 
 class TestSvg:
     def test_skips_flagged_rows_and_truncates(self, tmp_path):
@@ -443,6 +463,29 @@ class TestCheckLemmaCommand:
         assert len(lines) == 12
         run = json.loads((out / "run.json").read_text())
         assert len(run["posterior_mean"]) == 1
+        assert run["model"] == "toy-gamma"
+        assert run["sampler"] == "conjugate-exact"
+        assert (run["acceptance_rate"], run["sampler_warnings"]) == (1.0, [])
+
+    def test_sampler_warning_printed_and_recorded(self, tmp_path, capsys):
+        out = tmp_path / "lem"
+        argv = ["check-lemma", "--model", "voting-base", "--synthetic", "50"]
+        argv += ["--warmup", "0", "--draws", "20", "--step", "120", "--seed", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        warning = "post-warmup acceptance rate 0.0083 < 0.01; draws are likely unusable"
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"pdikit: warning: {warning}\n")
+        run = json.loads((out / "run.json").read_text())
+        assert run["model"] == "voting-base"
+        assert run["acceptance_rate"] == 1 / 120
+        assert run["sampler_warnings"] == [warning]
+
+    def test_formats_flag_rejected(self, tmp_path):
+        argv = ["check-lemma", "--model", "toy-gamma", "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv + ["--formats", "csv"])
+        assert exc.value.code == 2
+        assert parse_args(argv).formats == ("csv",)
 
 
 class TestDeterminism:

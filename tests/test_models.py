@@ -323,6 +323,27 @@ class TestHierLogReg:
                 model.log_prior(theta) + model.pointwise_row(theta).sum(), rel=1e-10
             )
 
+    @pytest.mark.parametrize(
+        "variant, sigma_coords",
+        [("base", [3]), ("with_age", [3, 8]), ("with_edu", [3, 8])],
+    )
+    def test_parameter_layout(self, variant, sigma_coords):
+        # [beta_female, beta_black, mu_s, sigma_s, alpha_s (3)] plus
+        # [mu_e, sigma_e, alpha_e (2)] for the expanded variants
+        model = models.hier_logreg_model(every_cell_table(n_states=3, n_extra=2), variant)
+        h = 10.0 * math.sqrt(2.0 / math.pi)
+        want = [0.0, 0.0, 0.0, h, 0.0, 0.0, 0.0]
+        if variant != "base":
+            want += [0.0, h, 0.0, 0.0]
+        assert model.dim == len(want)
+        assert model.prior_mean.tolist() == want
+        z = np.random.default_rng(3).standard_normal(model.dim)
+        assert model.transform.log_jacobian(z) == z[sigma_coords].sum()
+        theta = model.transform.constrain(z)
+        free = np.setdiff1d(np.arange(model.dim), sigma_coords)
+        assert same_bits(theta[sigma_coords], np.exp(z[sigma_coords]))
+        assert same_bits(theta[free], z[free])
+
     def test_variant_needs_extra_column(self):
         table, _ = self._table(variant="base")
         with pytest.raises(ValueError):

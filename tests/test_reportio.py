@@ -212,6 +212,59 @@ def test_bad_rank_cell_names_its_position(tmp_path, capsys, col_no):
     assert capsys.readouterr().err == f"pdikit: error: {message}\n"
 
 
+# An id the summary CSV can carry: no comma, double quote or line break
+# (``rank_report`` rejects those), and no leading "#", which every reader
+# takes for a comment line.
+safe_id = st.text(max_size=6).filter(
+    lambda s: not ("," in s or '"' in s or s.startswith("#"))
+    and len((s + "x").splitlines()) == 1
+)
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """(values, ids): finite, constant, -inf-holding and all-zero columns."""
+    n_draws = draw(st.integers(2, 5))
+    value = st.floats(-1e4, 50.0)
+    columns = []
+    kinds = st.sampled_from(["free", "constant", "neginf", "zero"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "free":
+            col = draw(st.lists(value, min_size=n_draws, max_size=n_draws))
+        elif kind == "constant":
+            col = [draw(value)] * n_draws
+        elif kind == "neginf":
+            col = draw(st.lists(value, min_size=n_draws, max_size=n_draws))
+            col[draw(st.integers(0, n_draws - 1))] = -np.inf
+        else:
+            col = [0.0] * n_draws
+        columns.append(col)
+    n = len(columns)
+    ids = draw(st.lists(safe_id, min_size=n, max_size=n, unique=True))
+    return np.array(columns).T, ids
+
+
+@given(degenerate_matrices(), st.integers(0, 2**32))
+@settings(max_examples=150)
+def test_summary_csv_round_trip_is_bitwise(tmp_path_factory, case, seed):
+    values, ids = case
+    m = pk.LogLikMatrix(values, ids, allow_degenerate=True)
+    report = pk.rank_report(pk.summarize(m), m.datapoint_ids)
+    path = tmp_path_factory.mktemp("rt") / "summary.csv"
+    reportio.write_summary_csv(path, report, seed)
+    got = reportio.read_summary_csv(path)
+    assert [r["id"] for r in got] == [row.datapoint_id for row in report.rows]
+    for rec, row in zip(got, report.rows):
+        s = row.summary
+        want = [s.log_mu, s.mu_log, s.sigma2_log, s.log_sigma2, s.wapdi]
+        want += [s.pdi_ratio_log, s.waic_term]
+        read = [rec[c] for c in reportio.SUMMARY_COLUMNS[1:8]]
+        assert np.array_equal(np.array(read).view(np.uint64), np.array(want).view(np.uint64))
+        assert rec["rank_wapdi"] == row.rank_wapdi
+        assert rec["rank_logpred"] == row.rank_log_mu
+        assert rec["flags"] == s.flags
+
+
 def _strict(text):
     def reject(constant):
         raise ValueError(f"non-strict JSON constant {constant}")
