@@ -214,9 +214,11 @@ def _build_model(cfg: RunConfig) -> _BuiltModel:
     variant = _VOTING_VARIANTS[cfg.model]
     if cfg.data:
         table = reportio.read_votes_csv(cfg.data)
-        if variant != "base" and table.extra is None:
+        column = cfg.model.removeprefix("voting-")
+        if variant != "base" and table.extra_name != column:
             raise reportio.InputFormatError(
-                f"{cfg.data}: model {cfg.model} needs an age/edu column"
+                f"{cfg.data}: model {cfg.model} needs the age/edu column {column!r}, "
+                f"found {table.extra_name or 'neither'}"
             )
         source = cfg.data
     else:

@@ -363,8 +363,9 @@ def rank_report(
     """Rank datapoints by WAPDI (rank 1 = most negative = worst).
 
     Ties break by ascending log_mu, then by id. The secondary ranking by
-    log_mu uses the mirrored key (log_mu, wapdi, id). Duplicate ids, and ids
-    holding a comma, a double quote or a line break, are rejected. The WAIC
+    log_mu uses the mirrored key (log_mu, wapdi, id). Duplicate ids, ids
+    holding a comma, a double quote or a line break, and ids starting with
+    ``#`` (which every reader skips as a comment) are rejected. The WAIC
     scalar averages the finite terms only.
     """
     ids = [str(i) for i in ids]
@@ -375,6 +376,11 @@ def rank_report(
             raise ValueError(
                 f"datapoint id {datapoint_id!r} at index {index} contains a comma, "
                 "a double quote or a line break"
+            )
+        if datapoint_id.startswith("#"):
+            raise ValueError(
+                f"datapoint id {datapoint_id!r} at index {index} contains a leading "
+                "'#', which readers skip as a comment line"
             )
     counts = Counter(ids)
     if len(counts) != len(ids):

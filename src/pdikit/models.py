@@ -323,7 +323,9 @@ class VoteTable:
     """Observations for the logistic model: one row per respondent.
 
     ``state`` holds integer codes into ``state_codes``; ``extra`` is the
-    optional age or education category column (codes into ``extra_codes``).
+    optional age or education category column (codes into ``extra_codes``),
+    and ``extra_name`` says which of the two it is: ``"age"``, ``"edu"`` or
+    ``None``.
     """
 
     vote: np.ndarray
@@ -333,6 +335,7 @@ class VoteTable:
     state_codes: tuple[str, ...]
     extra: np.ndarray | None = None
     extra_codes: tuple[str, ...] = ()
+    extra_name: str | None = None
 
     def __post_init__(self):
         n = self.vote.size
@@ -449,30 +452,24 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
 
 
 _SYNTH_STATES = ("ca", "dc", "ma", "nv", "ny", "wa", "wi", "wy")
-# (truth key, category codes, true levels) of each expanded variant's group
+_SYNTH_TRUTH = {"beta_female": -0.8, "beta_black": -2.0, "mu_state": 0.3, "sigma_state": 0.7}
+# (column, category codes, true levels) of each expanded variant's group; the
+# levels are returned in the truth under "alpha_<column>".
 _SYNTH_EXTRA = {
     "with_age": (
-        "alpha_age",
+        "age",
         ("18-29", "30-44", "45-64", "65+"),
         (-0.5, -0.1, 0.2, 0.6),
     ),
     "with_edu": (
-        "alpha_edu",
+        "edu",
         ("no-hs", "hs", "some-college", "college"),
         (0.5, 0.2, -0.1, -0.6),
     ),
 }
 
 
-def simulate_votes(
-    n: int,
-    seed: int = 0,
-    variant: str = "base",
-    beta_female: float = -0.8,
-    beta_black: float = -2.0,
-    mu_state: float = 0.3,
-    sigma_state: float = 0.7,
-) -> tuple[VoteTable, dict]:
+def simulate_votes(n: int, seed: int = 0, variant: str = "base") -> tuple[VoteTable, dict]:
     """Synthetic survey table with known ground-truth latents.
 
     Returns the table and the truth used to generate it, for sign-recovery
@@ -485,21 +482,18 @@ def simulate_votes(
     female = rng.integers(0, 2, size=n)
     black = (rng.random(n) < 0.2).astype(np.int64)
     state = rng.integers(0, len(_SYNTH_STATES), size=n)
-    alpha_state = mu_state + sigma_state * rng.standard_normal(len(_SYNTH_STATES))
+    truth = dict(_SYNTH_TRUTH)
+    alpha_state = truth["mu_state"] + truth["sigma_state"] * rng.standard_normal(
+        len(_SYNTH_STATES)
+    )
 
-    eta = beta_female * female + beta_black * black + alpha_state[state]
-    truth = {
-        "beta_female": beta_female,
-        "beta_black": beta_black,
-        "mu_state": mu_state,
-        "sigma_state": sigma_state,
-    }
-    extra, extra_codes = None, ()
+    eta = truth["beta_female"] * female + truth["beta_black"] * black + alpha_state[state]
+    extra, extra_codes, extra_name = None, (), None
     if variant != "base":
-        key, extra_codes, levels = _SYNTH_EXTRA[variant]
-        truth[key] = np.array(levels)
+        extra_name, extra_codes, levels = _SYNTH_EXTRA[variant]
+        truth[f"alpha_{extra_name}"] = levels = np.array(levels)
         extra = rng.integers(0, len(extra_codes), size=n)
-        eta = eta + truth[key][extra]
+        eta = eta + levels[extra]
 
     vote = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(np.int64)
     table = VoteTable(
@@ -510,5 +504,6 @@ def simulate_votes(
         state_codes=_SYNTH_STATES,
         extra=extra,
         extra_codes=extra_codes,
+        extra_name=extra_name,
     )
     return table, truth

@@ -404,4 +404,5 @@ def read_votes_csv(path) -> VoteTable:
         state_codes=state_codes,
         extra=extra,
         extra_codes=extra_codes,
+        extra_name=extra_col,
     )

@@ -115,8 +115,22 @@ def posterior_draws_from(
     )
 
 
-def _target_factory(model: ModelSpec):
+def adaptive_rw_metropolis(model: ModelSpec, config: SamplerConfig) -> PosteriorDraws:
+    """Run one adaptive component-wise random-walk Metropolis chain.
+
+    One iteration updates every coordinate once, in a freshly shuffled order;
+    warmup iterations also nudge the per-coordinate log step sizes toward the
+    target acceptance rate on a diminishing t^-0.6 schedule. Warmup and
+    sampling are one sweep with one accept test; only the adaptation, the
+    acceptance count and the stored draws depend on which phase an iteration
+    is in. Deterministic: identical (model, config) pairs reproduce the draw
+    matrix bit for bit. Raises ``SamplerError`` if the chain cannot start
+    (non-finite target at the prior-mean initial point) or if any target
+    evaluation is NaN or +inf, a value no Metropolis step could ever leave.
+    """
+    rng = np.random.default_rng(config.seed)
     tf = model.transform
+    dim = tf.unconstrained_dim
 
     def target(z: np.ndarray) -> float:
         theta = tf.constrain(z)
@@ -129,25 +143,6 @@ def _target_factory(model: ModelSpec):
             )
         return float(lp)
 
-    return target
-
-
-def adaptive_rw_metropolis(model: ModelSpec, config: SamplerConfig) -> PosteriorDraws:
-    """Run one adaptive component-wise random-walk Metropolis chain.
-
-    One iteration updates every coordinate once, in a freshly shuffled order;
-    warmup iterations also nudge the per-coordinate log step sizes toward the
-    target acceptance rate on a diminishing t^-0.6 schedule. Deterministic:
-    identical (model, config) pairs reproduce the draw matrix bit for bit.
-    Raises ``SamplerError`` if the chain cannot start (non-finite target at
-    the prior-mean initial point) or if any target evaluation is NaN or +inf,
-    a value no Metropolis step could ever leave.
-    """
-    rng = np.random.default_rng(config.seed)
-    target = _target_factory(model)
-    tf = model.transform
-    dim = tf.unconstrained_dim
-
     z = tf.unconstrain(np.asarray(model.prior_mean, dtype=np.float64))
     lp = target(z)
     if not np.isfinite(lp):
@@ -156,11 +151,12 @@ def adaptive_rw_metropolis(model: ModelSpec, config: SamplerConfig) -> Posterior
             f"initial point (value {lp})"
         )
 
+    warmup, thin = config.warmup_steps, config.thinning
     log_step = np.full(dim, np.log(config.initial_step_size))
     accept_target = config.adaptation_target_acceptance
-
-    for t in range(config.warmup_steps):
-        gain = (t + 1) ** -0.6
+    draws = np.empty((config.kept_draws, tf.constrained_dim))
+    accepted = 0
+    for t in range(warmup + config.kept_draws * thin):
         for d in rng.permutation(dim):
             proposal = z.copy()
             proposal[d] += np.exp(log_step[d]) * rng.standard_normal()
@@ -168,27 +164,13 @@ def adaptive_rw_metropolis(model: ModelSpec, config: SamplerConfig) -> Posterior
             alpha = min(1.0, np.exp(min(0.0, lp_prop - lp)))
             if rng.random() < alpha:
                 z, lp = proposal, lp_prop
-            log_step[d] += (alpha - accept_target) * gain
+                accepted += t >= warmup
+            if t < warmup:
+                log_step[d] += (alpha - accept_target) * (t + 1) ** -0.6
+        if t >= warmup and (t - warmup + 1) % thin == 0:
+            draws[(t - warmup) // thin] = tf.constrain(z)
 
-    step = np.exp(log_step)
-    draws = np.empty((config.kept_draws, tf.constrained_dim))
-    accepted = 0
-    total_updates = 0
-    kept = 0
-    for t in range(config.kept_draws * config.thinning):
-        for d in rng.permutation(dim):
-            proposal = z.copy()
-            proposal[d] += step[d] * rng.standard_normal()
-            lp_prop = target(proposal)
-            if np.log(rng.random()) < lp_prop - lp:
-                z, lp = proposal, lp_prop
-                accepted += 1
-            total_updates += 1
-        if (t + 1) % config.thinning == 0:
-            draws[kept] = tf.constrain(z)
-            kept += 1
-
-    rate = accepted / total_updates
+    rate = accepted / (config.kept_draws * thin * dim)
     warnings: tuple[str, ...] = ()
     if rate < 0.01:
         warnings = (
@@ -200,16 +182,12 @@ def adaptive_rw_metropolis(model: ModelSpec, config: SamplerConfig) -> Posterior
 
 def loglik_matrix(model: ModelSpec, draws: PosteriorDraws) -> LogLikMatrix:
     """Evaluate the pointwise log-likelihood at every draw: entry (s, n)."""
-    S = draws.draws.shape[0]
-    values = np.empty((S, model.data_count))
-    for s in range(S):
-        row = model.pointwise_row(draws.draws[s])
-        if np.isnan(row).any():
-            n = int(np.flatnonzero(np.isnan(row))[0])
-            raise SamplerError(
-                f"NaN pointwise log-likelihood at draw {s}, datapoint {n}"
-            )
-        values[s] = row
+    values = np.empty((draws.draws.shape[0], model.data_count))
+    for s, theta in enumerate(draws.draws):
+        values[s] = model.pointwise_row(theta)
+    if np.isnan(values.min()):  # min propagates NaN without a full-size mask
+        s, n = np.argwhere(np.isnan(values))[0].tolist()
+        raise SamplerError(f"NaN pointwise log-likelihood at draw {s}, datapoint {n}")
     return LogLikMatrix(values, model.datapoint_ids)
 
 

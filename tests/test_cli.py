@@ -405,6 +405,22 @@ class TestVotesCsvErrors:
         assert rc == 3
         assert "age/edu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, column", [("voting-age", "edu"), ("voting-edu", "age")])
+    def test_model_on_the_other_column_exits_3(self, tmp_path, capsys, model, column):
+        p = tmp_path / "v.csv"
+        rows = [f"{i % 2},{i // 2 % 2},{i // 4 % 2},s{i % 3},{i % 4}" for i in range(60)]
+        p.write_text(f"vote,sex,race,state,{column}\n" + "\n".join(rows) + "\n")
+        assert reportio.read_votes_csv(p).extra_name == column
+        own = model.removeprefix("voting-")
+        out = tmp_path / "o"
+        argv = ["fit", "--model", model, "--data", str(p), "--group-by", own]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"pdikit: error: {p}: model {model} needs the age/edu column {own!r}, "
+            f"found {column}\n"
+        )
+        assert not out.exists()
+
     def test_state_codes_sorted_and_indexed(self, tmp_path):
         p = tmp_path / "v.csv"
         p.write_text("vote,sex,race,state\n1,0,0,wy\n0,1,0,ak\n1,0,1,ny\n0,0,0,ak\n")
@@ -505,3 +521,29 @@ class TestDeterminism:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (
+                ["fit", "--group-by", "state", "--formats", "csv,ndjson,svg"],
+                {"summary.csv", "summary.ndjson", "wapdi.svg"},
+            ),
+            (["check-lemma"], {"lemma.csv"}),
+        ],
+        ids=["fit", "check-lemma"],
+    )
+    def test_every_output_byte_identical(self, tmp_path, argv, written):
+        argv = argv + ["--model", "voting-base", "--synthetic", "200"]
+        argv += ["--warmup", "100", "--draws", "50"]
+
+        def run(outdir):
+            assert main(argv + ["--out", str(outdir)]) == 0
+            files = {p.name: p.read_bytes() for p in outdir.iterdir()}
+            run_json = files.pop("run.json").decode()
+            assert json.loads(run_json)["config"]["out"] == str(outdir)
+            return files, run_json.replace(json.dumps(str(outdir)), '"<out>"')
+
+        files, run_json = run(tmp_path / "r1")
+        assert set(files) == written and run_json.count('"<out>"') == 1
+        assert run(tmp_path / "r2") == (files, run_json)

@@ -451,7 +451,7 @@ class TestRanking:
         rep = pk.rank_report(none_finite, ["a", "b", "c"])
         assert math.isnan(rep.waic) and rep.n_excluded == 3
 
-    @pytest.mark.parametrize("bad", ["a,b", 'say "hi"', "a\nb", "a\r", "a\u2028b", "\x0c"])
+    @pytest.mark.parametrize("bad", ["a,b", 'say "hi"', "a\nb", "a\r", "a\u2028b", "\x0c", "#b"])
     def test_ids_that_break_a_csv_row_rejected(self, bad):
         s = self._summaries([-0.1, -0.2, -0.3])
         message = f"datapoint id {bad!r} at index 1 contains"

@@ -212,9 +212,9 @@ def test_bad_rank_cell_names_its_position(tmp_path, capsys, col_no):
     assert capsys.readouterr().err == f"pdikit: error: {message}\n"
 
 
-# An id the summary CSV can carry: no comma, double quote or line break
-# (``rank_report`` rejects those), and no leading "#", which every reader
-# takes for a comment line.
+# An id the summary CSV can carry, which ``rank_report`` accepts: no comma,
+# double quote or line break, and no leading "#", which every reader takes
+# for a comment line.
 safe_id = st.text(max_size=6).filter(
     lambda s: not ("," in s or '"' in s or s.startswith("#"))
     and len((s + "x").splitlines()) == 1
@@ -306,6 +306,17 @@ class TestStrictJson:
             "a double quote or a line break\n"
         )
         assert not (out / "summary.csv").exists()
+
+    def test_leading_hash_header_id_rejected(self, tmp_path, capsys):
+        # Every reader skips a line starting with '#', so a summary row for
+        # '#b' would be written and then never read back.
+        matrix = write(tmp_path, ["a,#b", "-1.0,-2.0", "-1.1,-2.5"])
+        out = tmp_path / "out"
+        assert main(["compute", "--input", str(matrix), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "pdikit: error: datapoint id '#b' at index 1 contains a leading '#'"
+        )
+        assert not out.exists()
 
     def test_nested_non_finite_values_become_null(self, tmp_path):
         payload = {"x": [1.0, float("-inf")], "y": {"z": float("nan"), "w": (2.0, "s")}}

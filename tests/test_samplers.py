@@ -125,6 +125,106 @@ class TestSamplerConfig:
             pk.SamplerConfig(thinning=0)
 
 
+def two_loop_metropolis(model, config):
+    """Reference sampler: warmup and sampling as two separate sweeps.
+
+    This was the library's implementation before the two phases were merged
+    into one loop; the merged sampler must reproduce it bit for bit, since
+    the random draws are consumed in the same order.
+    """
+    tf = model.transform
+
+    def target(z):
+        theta = tf.constrain(z)
+        lp = model.log_joint(theta) + tf.log_jacobian(z)
+        if np.isnan(lp) or lp == np.inf:
+            raise pk.SamplerError("non-finite target")
+        return float(lp)
+
+    rng = np.random.default_rng(config.seed)
+    dim = tf.unconstrained_dim
+    z = tf.unconstrain(np.asarray(model.prior_mean, dtype=np.float64))
+    lp = target(z)
+    log_step = np.full(dim, np.log(config.initial_step_size))
+    accept_target = config.adaptation_target_acceptance
+
+    for t in range(config.warmup_steps):
+        gain = (t + 1) ** -0.6
+        for d in rng.permutation(dim):
+            proposal = z.copy()
+            proposal[d] += np.exp(log_step[d]) * rng.standard_normal()
+            lp_prop = target(proposal)
+            alpha = min(1.0, np.exp(min(0.0, lp_prop - lp)))
+            if rng.random() < alpha:
+                z, lp = proposal, lp_prop
+            log_step[d] += (alpha - accept_target) * gain
+
+    step = np.exp(log_step)
+    draws = np.empty((config.kept_draws, tf.constrained_dim))
+    accepted = 0
+    total_updates = 0
+    kept = 0
+    for t in range(config.kept_draws * config.thinning):
+        for d in rng.permutation(dim):
+            proposal = z.copy()
+            proposal[d] += step[d] * rng.standard_normal()
+            lp_prop = target(proposal)
+            if np.log(rng.random()) < lp_prop - lp:
+                z, lp = proposal, lp_prop
+                accepted += 1
+            total_updates += 1
+        if (t + 1) % config.thinning == 0:
+            draws[kept] = tf.constrain(z)
+            kept += 1
+
+    rate = accepted / total_updates
+    warnings = ()
+    if rate < 0.01:
+        warnings = (
+            f"post-warmup acceptance rate {rate:.4f} < 0.01; "
+            "draws are likely unusable",
+        )
+    return draws, rate, warnings
+
+
+def _presidents_model():
+    from pdikit import datasets, models
+
+    return models.nb2_mixture_model(datasets.presidents_days(), datasets.presidents_ids())
+
+
+def _voting_model(variant):
+    from pdikit import models
+
+    table, _ = models.simulate_votes(300, seed=0, variant=variant)
+    return models.hier_logreg_model(table, variant)
+
+
+class TestOneSweepMatchesTwoLoopReference:
+    @pytest.mark.parametrize(
+        "make_model, config",
+        [
+            (_presidents_model, dict(warmup_steps=150, kept_draws=60, seed=42)),
+            (lambda: _voting_model("base"), dict(warmup_steps=100, kept_draws=50, seed=0)),
+            (lambda: _voting_model("with_edu"), dict(warmup_steps=100, kept_draws=50, seed=3)),
+            (gaussian_model, dict(warmup_steps=200, kept_draws=100, thinning=5, seed=4)),
+            (
+                lambda: gaussian_model(sd=1e-3),
+                dict(warmup_steps=0, kept_draws=300, initial_step_size=1e6, seed=0),
+            ),
+        ],
+        ids=["nb2-presidents", "voting-base", "voting-with-edu", "gaussian-thin5", "no-warmup"],
+    )
+    def test_bitwise_equal(self, make_model, config):
+        model, cfg = make_model(), pk.SamplerConfig(**config)
+        draws, rate, warnings = two_loop_metropolis(model, cfg)
+        d = pk.adaptive_rw_metropolis(model, cfg)
+        assert np.array_equal(d.draws.view(np.uint64), draws.view(np.uint64))
+        as_bits = np.array([d.acceptance_rate, rate]).view(np.uint64)
+        assert as_bits[0] == as_bits[1]
+        assert d.warnings == warnings
+
+
 class TestAdaptiveMetropolis:
     def test_gaussian_mean_within_mc_error(self):
         cfg = pk.SamplerConfig(warmup_steps=2000, kept_draws=20000, seed=7)
@@ -308,6 +408,25 @@ class TestLogLikMatrixFromDraws:
         values = pk.loglik_matrix(model, draws).values
         assert values[0, 0] == pytest.approx(row[0])
         assert values[0, 1] == pytest.approx(row[1])
+
+    def test_nan_entry_names_first_draw_and_datapoint(self):
+        # Draw 2 is NaN at both datapoints; draw 1, at datapoint 1 only.
+        def row(th):
+            return np.array([np.nan if th[0] > 0.8 else 0.0, np.nan if th[0] > 0.5 else -1.0])
+
+        model = pk.ModelSpec(
+            name="nan-row",
+            transform=BlockTransform([IdentityBlock(1)]),
+            log_prior=lambda th: 0.0,
+            log_joint=lambda th: 0.0,
+            pointwise_row=row,
+            data_count=2,
+            datapoint_ids=("a", "b"),
+            prior_mean=np.array([0.0]),
+        )
+        draws = pk.posterior_draws_from(np.array([[0.1], [0.7], [0.9]]), 1.0, 0)
+        with pytest.raises(pk.SamplerError, match=r"at draw 1, datapoint 1$"):
+            pk.loglik_matrix(model, draws)
 
     def test_posterior_draws_moments(self):
         rng = np.random.default_rng(3)
