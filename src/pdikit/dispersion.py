@@ -330,17 +330,23 @@ def pdi_ratio(column) -> float:
     return _column_field(column, "pdi_ratio_log")
 
 
+def _kernel_blocks(matrix: LogLikMatrix):
+    """``_dispersion_rows`` over blocks of about ``BLOCK_CELLS`` cells, in column order."""
+    values = matrix.values
+    step = max(1, BLOCK_CELLS // matrix.draw_count)
+    for start in range(0, matrix.point_count, step):
+        yield _dispersion_rows(values[:, start : start + step])
+
+
 def summarize(matrix: LogLikMatrix) -> list[PointwiseSummary]:
     """Apply every column estimator to each column of the matrix.
 
     Columns are independent; degeneracies are recorded per row via flags and
     never abort the rest of the matrix.
     """
-    values = matrix.values
-    step = max(1, BLOCK_CELLS // matrix.draw_count)
     out: list[PointwiseSummary] = []
-    for start in range(0, matrix.point_count, step):
-        out += _summaries(_dispersion_rows(values[:, start : start + step]))
+    for k in _kernel_blocks(matrix):
+        out += _summaries(k)
     return out
 
 
@@ -351,7 +357,7 @@ def waic(matrix: LogLikMatrix) -> tuple[float, np.ndarray]:
     zero penalty term; non-finite terms (flagged columns) are left out of the
     scalar.
     """
-    terms = np.array([s.waic_term for s in summarize(matrix)])
+    terms = np.concatenate([k["waic_term"] for k in _kernel_blocks(matrix)])
     return _finite_mean(terms)[0], terms
 
 

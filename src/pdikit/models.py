@@ -8,6 +8,9 @@ Three families:
   (the exact-oracle toy model);
 * hierarchical logistic regression for vote/sex/race/state tables, in three
   variants (base, +age, +edu).
+
+Each model's functions are written once, for an (R, P) batch of thetas, and
+also take one theta (see ``ModelSpec``).
 """
 
 from __future__ import annotations
@@ -77,6 +80,24 @@ def moment_match_mu_prior(data) -> tuple[float, float]:
     return float(m * m / v), float(m / v)
 
 
+def _one_or_many(fn):
+    """``fn``, written for an (R, P) batch of thetas, made callable on one theta.
+
+    A (P,) theta is evaluated as the batch of one and gets one theta's types
+    back: a float where a batch gets (R,), a length-N row where it gets
+    (R, N).
+    """
+
+    def call(theta):
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.ndim == 2:
+            return fn(theta)
+        out = fn(theta[None, :])[0]
+        return float(out) if out.ndim == 0 else out
+
+    return call
+
+
 def _gamma_logpdf(x, shape, rate):
     return shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
 
@@ -87,32 +108,39 @@ _PHI_PRIOR_SHAPE = 1.0
 _PHI_PRIOR_RATE = 0.01
 
 
-def _logsumexp_rows(a, b):
-    """log sum_k b_k exp(a[n, k]) for each row n of a, with weights b (K,).
+def _logsumexp_components(a, b):
+    """log sum_k b[k] exp(a[k]) over the leading (component) axis of a.
 
-    This mirrors scipy.special.logsumexp's own algorithm (scipy 1.17), not the
-    textbook max-shift: the tied maxima are summed apart and the rest enter
-    through log1p, so every value is bitwise equal to
-    ``logsumexp(a, axis=1, b=b[None, :])`` and the Metropolis chain stays the
-    same draw for draw. scipy's version spends most of its time in array-API
-    dispatch, which dominates at the 43 x 3 size of one NB2 target call.
+    ``b`` broadcasts against ``a``: (K, R, 1) weights for the (K, R, N)
+    components of an NB2 batch. This mirrors scipy.special.logsumexp's own
+    algorithm (scipy 1.17), not the textbook max-shift: the tied maxima are
+    summed apart and the rest enter through log1p. With the component axis
+    leading, each reduction is K elementwise operations on whole (R, N)
+    slabs, and for K < 8 numpy adds the K terms left to right whichever axis
+    they lie on, so every value is bitwise equal to
+    ``logsumexp(a[:, r].T, axis=1, b=b[:, r, 0])`` and the Metropolis chain
+    stays the same draw for draw. scipy's version spends most of its time in
+    array-API dispatch, which dominates at the 43 x 3 size of one NB2 theta.
     """
     # scipy silences the same floating-point warnings, which only rows with
     # all weights zero or -inf/NaN terms raise.
     with np.errstate(divide="ignore", invalid="ignore"):
-        masked = np.where(b == 0, -np.inf, a)
-        a_max = masked.max(axis=1, keepdims=True)
+        masked = a.copy()
+        unweighted = b == 0
+        if unweighted.any():
+            np.copyto(masked, -np.inf, where=unweighted)
+        a_max = masked.max(axis=0)
         at_max = masked == a_max
-        m = (b * at_max).sum(axis=1)
-        masked[at_max] = -np.inf
-        s = (b * np.exp(masked - a_max)).sum(axis=1)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max[:, 0]
+        m = (b * at_max).sum(axis=0)
+        np.copyto(masked, -np.inf, where=at_max)
+        s = (b * np.exp(masked - a_max)).sum(axis=0)
+        np.divide(s, m, out=s, where=s != 0)
+        out = np.log1p(s) + np.log(m) + a_max
     finite = np.isfinite(out)
     if not finite.all():
         # scipy answers these rows by the direct formula; mirror that too.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            direct = np.log((b * np.exp(a)).sum(axis=1))
+            direct = np.log((b * np.exp(a)).sum(axis=0))
         out = np.where(finite, out, direct)
     return out
 
@@ -134,25 +162,29 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
     K = _NB2_K
     # Everything that does not depend on theta, evaluated once with the same
     # operations, in the same order, as nb2_log_pmf and _gamma_logpdf.
-    x = data[:, None]
+    x = data
     gammaln_x1 = gammaln(x + 1.0)
     log_dirichlet = gammaln(K)  # Dirichlet(1,1,1) is the constant log Gamma(3)
     mu_const = mu_shape * np.log(mu_rate) - gammaln(mu_shape)
     phi_const = _PHI_PRIOR_SHAPE * np.log(_PHI_PRIOR_RATE) - gammaln(_PHI_PRIOR_SHAPE)
 
+    # The gamma prior's constant, shape - 1 and rate for mu_1..K, phi_1..K.
+    const = np.repeat([mu_const, phi_const], K)
+    shape_minus_1 = np.repeat([mu_shape - 1.0, _PHI_PRIOR_SHAPE - 1.0], K)
+    rate = np.repeat([mu_rate, _PHI_PRIOR_RATE], K)
+
+    # Each function takes an (R, 9) batch of thetas.
     def log_prior(theta):
-        mu, phi = theta[K : 2 * K], theta[2 * K :]
-        lp = log_dirichlet
-        lp += (mu_const + (mu_shape - 1.0) * np.log(mu) - mu_rate * mu).sum()
-        lp += (
-            phi_const + (_PHI_PRIOR_SHAPE - 1.0) * np.log(phi) - _PHI_PRIOR_RATE * phi
-        ).sum()
-        return float(lp)
+        params = theta[:, K:]
+        terms = const + shape_minus_1 * np.log(params) - rate * params
+        mu_sum, phi_sum = terms.reshape(-1, 2, K).sum(axis=2).T
+        return log_dirichlet + mu_sum + phi_sum
 
     def pointwise_row(theta):
-        pi, mu, phi = theta[:K], theta[K : 2 * K], theta[2 * K :]
-        params = theta[K:]
-        if not (np.isfinite(params).all() and (params > 0).all()):
+        # (K, R, 1) parameters against the (N,) counts: (K, R, N) components
+        by_param = np.ascontiguousarray(theta.T)[:, :, None]
+        pi, mu, phi, params = by_param[:K], by_param[K : 2 * K], by_param[2 * K :], by_param[K:]
+        if not params.min() > 0 or not params.max() < np.inf:  # NaN fails both
             nb2_log_pmf(x, mu, phi)  # raises the classified ValueError
         denom = np.log(phi + mu)
         comp = (
@@ -162,12 +194,12 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
             + phi * (np.log(phi) - denom)
             + x * (np.log(mu) - denom)
         )
-        return _logsumexp_rows(comp, pi)
+        return _logsumexp_components(comp, pi)
 
     def log_joint(theta):
         # The row first: for a bad theta it raises the classified ValueError
         # before the prior can warn on the same values.
-        row_sum = float(pointwise_row(theta).sum())
+        row_sum = pointwise_row(theta).sum(axis=1)
         return log_prior(theta) + row_sum
 
     prior_mean = np.concatenate(
@@ -180,9 +212,9 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
     return ModelSpec(
         name="nb2-mixture",
         transform=BlockTransform([SimplexBlock(K), PositiveBlock(K), PositiveBlock(K)]),
-        log_prior=log_prior,
-        log_joint=log_joint,
-        pointwise_row=pointwise_row,
+        log_prior=_one_or_many(log_prior),
+        log_joint=_one_or_many(log_joint),
+        pointwise_row=_one_or_many(pointwise_row),
         data_count=data.size,
         datapoint_ids=tuple(ids),
         prior_mean=prior_mean,
@@ -243,24 +275,24 @@ def gamma_toy_model(data, eval_points=None, ids=None) -> ModelSpec:
     sum_x = float(data.sum())
     n = data.size
 
+    # Each function takes an (R, 1) batch of rates.
     def log_prior(theta):
-        return float(_gamma_logpdf(theta[0], TOY_PRIOR_SHAPE, TOY_PRIOR_RATE))
+        return _gamma_logpdf(theta[:, 0], TOY_PRIOR_SHAPE, TOY_PRIOR_RATE)
 
     def log_joint(theta):
-        beta = theta[0]
+        beta = theta[:, 0]
         total = n * (a * np.log(beta) - gammaln(a)) + (a - 1.0) * sum_log_x - beta * sum_x
-        return float(log_prior(theta) + total)
+        return log_prior(theta) + total
 
     def pointwise_row(theta):
-        beta = theta[0]
-        return _gamma_logpdf(pts, a, beta)
+        return _gamma_logpdf(pts, a, theta)  # (R, 1) rates against (N,) points
 
     return ModelSpec(
         name="gamma-toy",
         transform=BlockTransform([PositiveBlock(1)]),
-        log_prior=log_prior,
-        log_joint=log_joint,
-        pointwise_row=pointwise_row,
+        log_prior=_one_or_many(log_prior),
+        log_joint=_one_or_many(log_joint),
+        pointwise_row=_one_or_many(pointwise_row),
         data_count=pts.size,
         datapoint_ids=tuple(ids),
         prior_mean=np.array([TOY_PRIOR_SHAPE / TOY_PRIOR_RATE]),
@@ -379,8 +411,15 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
     """
     if variant not in HIER_VARIANTS:
         raise ValueError(f"variant must be one of {HIER_VARIANTS}")
-    if variant != "base" and table.extra is None:
-        raise ValueError(f"variant {variant!r} needs the age/edu column")
+    if variant != "base":
+        column = _SYNTH_EXTRA[variant][0]
+        if table.extra is None:
+            raise ValueError(f"variant {variant!r} needs the age/edu column")
+        if table.extra_name not in (None, column):
+            raise ValueError(
+                f"variant {variant!r} needs the age/edu column {column!r}, "
+                f"found {table.extra_name!r}"
+            )
 
     # (per-respondent level, number of levels) of each hierarchical group
     group_columns = [(table.state, len(table.state_codes))]
@@ -410,10 +449,13 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         prior_mean += [0.0, half_normal_mean] + [0.0] * n
         off += 2 + n
 
+    # Each function takes an (R, P) batch of thetas. Per-cell and
+    # per-respondent values are gathered with np.take, which keeps them
+    # C-ordered, so each theta's sum over its row is the sum of a lone row.
     def linear_predictor(theta):
-        eta = theta[0] * female + theta[1] * black
+        eta = theta[:, 0:1] * female + theta[:, 1:2] * black
         for _, _, alpha_idx in groups:
-            eta = eta + theta[alpha_idx]
+            eta = eta + np.take(theta, alpha_idx, axis=1)
         return eta
 
     log_hyper = np.log(_HYPER_SCALE)
@@ -425,26 +467,28 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         return -0.5 * (u * u) - log_scale - half_log_2pi
 
     def log_prior(theta):
-        lp = normal_logpdf(theta[:2], log_unit).sum()
+        lp = normal_logpdf(theta[:, :2], log_unit).sum(axis=1)
         for off, n, _ in groups:
-            mu, sigma, alpha = theta[off], theta[off + 1], theta[off + 2 : off + 2 + n]
+            mu, sigma = theta[:, off], theta[:, off + 1]
+            alpha = theta[:, off + 2 : off + 2 + n]
             lp += normal_logpdf(mu / _HYPER_SCALE, log_hyper)
             lp += normal_logpdf(sigma / _HYPER_SCALE, log_hyper)
-            lp += normal_logpdf((alpha - mu) / sigma, log_unit).sum() - n * np.log(sigma)
-        return float(lp)
+            u = (alpha - mu[:, None]) / sigma[:, None]
+            lp += normal_logpdf(u, log_unit).sum(axis=1) - n * np.log(sigma)
+        return lp
 
     def pointwise_row(theta):
-        return _bernoulli_logit_loglik(y, linear_predictor(theta))[inverse]
+        return np.take(_bernoulli_logit_loglik(y, linear_predictor(theta)), inverse, axis=1)
 
     def log_joint(theta):
-        return log_prior(theta) + float(np.sum(pointwise_row(theta)))
+        return log_prior(theta) + pointwise_row(theta).sum(axis=1)
 
     return ModelSpec(
         name=f"hier-logreg-{variant}",
         transform=BlockTransform(blocks),
-        log_prior=log_prior,
-        log_joint=log_joint,
-        pointwise_row=pointwise_row,
+        log_prior=_one_or_many(log_prior),
+        log_joint=_one_or_many(log_joint),
+        pointwise_row=_one_or_many(pointwise_row),
         data_count=table.n,
         datapoint_ids=table.row_ids(),
         prior_mean=np.array(prior_mean),
@@ -453,8 +497,9 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
 
 _SYNTH_STATES = ("ca", "dc", "ma", "nv", "ny", "wa", "wi", "wy")
 _SYNTH_TRUTH = {"beta_female": -0.8, "beta_black": -2.0, "mu_state": 0.3, "sigma_state": 0.7}
-# (column, category codes, true levels) of each expanded variant's group; the
-# levels are returned in the truth under "alpha_<column>".
+# (column, category codes, true levels) of each expanded variant's group. The
+# column is the one hier_logreg_model requires of a table for that variant;
+# the levels are returned in the truth under "alpha_<column>".
 _SYNTH_EXTRA = {
     "with_age": (
         "age",

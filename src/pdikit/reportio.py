@@ -244,11 +244,31 @@ def _strict_json(obj, **kwargs) -> str:
         return json.dumps(_finite_or_null(obj), allow_nan=False, **kwargs)
 
 
+# A summary record's ndjson line, keys sorted as json.dumps(sort_keys=True)
+# writes them: the flags and the id as JSON text, then nine numbers.
+_NDJSON_NUMBERS = sorted(SUMMARY_COLUMNS[1:10])
+_NDJSON_LINE = (
+    '{{"flags": {}, "id": {}, ' + ", ".join(f'"{k}": {{}}' for k in _NDJSON_NUMBERS) + "}}"
+)
+
+
+def _ndjson_line(record: dict) -> str:
+    """``_strict_json(record, sort_keys=True)`` for a summary record.
+
+    Numbers are written as json.dumps writes a Python float or int: by repr,
+    with ``null`` for a non-finite float.
+    """
+    numbers = (record[k] for k in _NDJSON_NUMBERS)
+    text = [repr(v) if math.isfinite(v) else "null" for v in numbers]
+    flags = json.dumps(record["flags"]) if record["flags"] else "[]"
+    return _NDJSON_LINE.format(flags, json.dumps(record["id"]), *text)
+
+
 def write_summary_ndjson(path, report: MismatchReport, seed: int) -> None:
-    records = [{"pdikit": __version__, "seed": seed, "waic": report.waic}]
-    records += [_summary_record(row) for row in report.rows]
-    text = "\n".join(_strict_json(r, sort_keys=True) for r in records)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    header = {"pdikit": __version__, "seed": seed, "waic": report.waic}
+    lines = [_strict_json(header, sort_keys=True)]
+    lines += [_ndjson_line(_summary_record(row)) for row in report.rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_run_json(path, payload: dict) -> None:

@@ -8,10 +8,24 @@ scalar random-walk proposal to each. Each coordinate owns its own step size,
 adapted by Robbins-Monro toward the target acceptance rate during warmup
 only and frozen afterwards, which keeps the kept draws a valid Markov chain
 while letting parameters on wildly different scales mix at their own pace.
+
+Each sweep is prefetched (Brockwell 2006, "Parallel Markov chain Monte Carlo
+simulation by pre-fetching"). A sweep's random numbers do not depend on the
+outcomes: its permutation, then a normal and a uniform per coordinate, and
+every step size stays as it was at the start of the sweep, because each
+coordinate is visited once. So after any acceptance, the proposals for all
+the coordinates still to come start from the same state. They are built at
+once and scored in one batched target call, then walked in sweep order; the
+first acceptance moves the state, and the rest of the sweep is rebuilt from
+it. The chain is the one-proposal-at-a-time chain bit for bit, for one
+target call per acceptance instead of one per coordinate.
+
+Models and transforms take a batch: see ``ModelSpec``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +49,12 @@ __all__ = [
 
 class SamplerError(RuntimeError):
     """Raised when a target evaluation returns NaN or +inf, or a precondition fails."""
+
+
+# Cells per batched ``pointwise_row`` call in ``loglik_matrix``. A model's
+# temporaries can be several times its batch (the NB2 mixture keeps K = 3
+# components per cell), so 2^12 cells keeps them under about 1 MB.
+LOGLIK_BLOCK_CELLS = 2**12
 
 
 @dataclass(frozen=True)
@@ -63,12 +83,16 @@ class SamplerConfig:
 class ModelSpec:
     """A model as the sampler and estimators see it.
 
-    ``log_joint``, ``log_prior`` and ``pointwise_row`` all take the
-    constrained parameter vector. ``pointwise_row(theta)`` returns the
-    length-N vector of pointwise log-likelihoods; ``log_joint`` must equal
-    log_prior + sum(pointwise_row) up to arithmetic noise -- tests assert
-    this factorization on every built-in model. ``prior_mean`` (constrained
-    space) seeds the chain after mapping to unconstrained space.
+    ``log_joint``, ``log_prior`` and ``pointwise_row`` take an (R, P) batch
+    of constrained parameter vectors and return (R,), (R,) and (R, N): one
+    log density, one log prior and one row of N pointwise log-likelihoods per
+    theta. Every row must be bitwise equal to the same theta evaluated alone,
+    whatever else is in the batch: the sampler scores proposals in batches
+    and its chain must not depend on their size. One (P,) theta is the case
+    R = 1 and returns a float, a float and a length-N row. ``log_joint`` must
+    equal log_prior + sum(pointwise_row) up to arithmetic noise -- tests
+    assert this factorization on every built-in model. ``prior_mean``
+    (constrained space) seeds the chain after mapping to unconstrained space.
     """
 
     name: str
@@ -121,31 +145,39 @@ def adaptive_rw_metropolis(model: ModelSpec, config: SamplerConfig) -> Posterior
     One iteration updates every coordinate once, in a freshly shuffled order;
     warmup iterations also nudge the per-coordinate log step sizes toward the
     target acceptance rate on a diminishing t^-0.6 schedule. Warmup and
-    sampling are one sweep with one accept test; only the adaptation, the
-    acceptance count and the stored draws depend on which phase an iteration
-    is in. Deterministic: identical (model, config) pairs reproduce the draw
-    matrix bit for bit. Raises ``SamplerError`` if the chain cannot start
-    (non-finite target at the prior-mean initial point) or if any target
-    evaluation is NaN or +inf, a value no Metropolis step could ever leave.
+    sampling are one prefetched sweep (see the module docstring) with one
+    accept test; only the adaptation, the acceptance count and the stored
+    draws depend on which phase an iteration is in. Deterministic: identical
+    (model, config) pairs reproduce the draw matrix bit for bit.
+
+    Raises ``SamplerError`` if the chain cannot start (non-finite target at
+    the prior-mean initial point) or if a proposal it walks to has a NaN or
+    +inf target, a value no Metropolis step could ever leave. Rows of a batch
+    past its first acceptance are never walked to and cannot stop the chain:
+    a batch call that raises or hits a floating-point error is scored again
+    one proposal at a time for the rest of its sweep, so a walked proposal
+    raises or warns exactly as it would alone.
     """
     rng = np.random.default_rng(config.seed)
     tf = model.transform
     dim = tf.unconstrained_dim
 
-    def target(z: np.ndarray) -> float:
-        theta = tf.constrain(z)
-        lp = model.log_joint(theta) + tf.log_jacobian(z)
-        if np.isnan(lp) or lp == np.inf:
+    def target(zs: np.ndarray) -> list[float]:
+        """The log target at each row of an (R, dim) batch of unconstrained points."""
+        return (model.log_joint(tf.constrain(zs)) + tf.log_jacobian(zs)).tolist()
+
+    def checked(z: np.ndarray, lp: float) -> float:
+        if math.isnan(lp) or lp == math.inf:
             raise SamplerError(
-                f"log joint is {'NaN' if np.isnan(lp) else '+inf'} at "
+                f"log joint is {'NaN' if math.isnan(lp) else '+inf'} at "
                 f"unconstrained point {z.tolist()} "
-                f"(constrained {theta.tolist()})"
+                f"(constrained {tf.constrain(z).tolist()})"
             )
-        return float(lp)
+        return lp
 
     z = tf.unconstrain(np.asarray(model.prior_mean, dtype=np.float64))
-    lp = target(z)
-    if not np.isfinite(lp):
+    lp = checked(z, target(z[None, :])[0])
+    if not math.isfinite(lp):
         raise SamplerError(
             f"model {model.name!r}: log joint not finite at the prior-mean "
             f"initial point (value {lp})"
@@ -157,16 +189,39 @@ def adaptive_rw_metropolis(model: ModelSpec, config: SamplerConfig) -> Posterior
     draws = np.empty((config.kept_draws, tf.constrained_dim))
     accepted = 0
     for t in range(warmup + config.kept_draws * thin):
-        for d in rng.permutation(dim):
-            proposal = z.copy()
-            proposal[d] += np.exp(log_step[d]) * rng.standard_normal()
-            lp_prop = target(proposal)
-            alpha = min(1.0, np.exp(min(0.0, lp_prop - lp)))
-            if rng.random() < alpha:
-                z, lp = proposal, lp_prop
-                accepted += t >= warmup
-            if t < warmup:
-                log_step[d] += (alpha - accept_target) * (t + 1) ** -0.6
+        # The permutation, then each coordinate's normal and uniform, in the
+        # order a one-proposal-at-a-time sweep draws them.
+        order = rng.permutation(dim)
+        normal, uniform = np.array([(rng.standard_normal(), rng.random()) for _ in order]).T
+        jump = np.exp(log_step[order]) * normal
+        i, batched = 0, True
+        while i < dim:
+            # Coordinates order[i:], each proposed from the current state.
+            rows = dim - i if batched else 1
+            proposals = np.repeat(z[None, :], rows, axis=0)
+            proposals[np.arange(rows), order[i : i + rows]] += jump[i : i + rows]
+            if rows > 1:
+                try:
+                    with np.errstate(divide="raise", over="raise", invalid="raise"):
+                        lp_props = target(proposals)
+                except Exception:
+                    # Maybe a row past the first acceptance, which must not
+                    # stop the chain: score the rest of the sweep one by one.
+                    batched = False
+                    continue
+            else:
+                lp_props = target(proposals)
+            for proposal, lp_prop in zip(proposals, lp_props):
+                d = order[i]
+                alpha = min(1.0, np.exp(min(0.0, checked(proposal, lp_prop) - lp)))
+                accept = uniform[i] < alpha
+                i += 1
+                if t < warmup:
+                    log_step[d] += (alpha - accept_target) * (t + 1) ** -0.6
+                if accept:
+                    z, lp = proposal, lp_prop
+                    accepted += t >= warmup
+                    break
         if t >= warmup and (t - warmup + 1) % thin == 0:
             draws[(t - warmup) // thin] = tf.constrain(z)
 
@@ -181,10 +236,15 @@ def adaptive_rw_metropolis(model: ModelSpec, config: SamplerConfig) -> Posterior
 
 
 def loglik_matrix(model: ModelSpec, draws: PosteriorDraws) -> LogLikMatrix:
-    """Evaluate the pointwise log-likelihood at every draw: entry (s, n)."""
+    """Evaluate the pointwise log-likelihood at every draw: entry (s, n).
+
+    Draws go to ``pointwise_row`` in batches of about ``LOGLIK_BLOCK_CELLS``
+    cells.
+    """
     values = np.empty((draws.draws.shape[0], model.data_count))
-    for s, theta in enumerate(draws.draws):
-        values[s] = model.pointwise_row(theta)
+    step = max(1, LOGLIK_BLOCK_CELLS // model.data_count)
+    for start in range(0, values.shape[0], step):
+        values[start : start + step] = model.pointwise_row(draws.draws[start : start + step])
     if np.isnan(values.min()):  # min propagates NaN without a full-size mask
         s, n = np.argwhere(np.isnan(values))[0].tolist()
         raise SamplerError(f"NaN pointwise log-likelihood at draw {s}, datapoint {n}")

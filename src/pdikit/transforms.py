@@ -3,6 +3,11 @@
 Samplers walk in unconstrained R^d; models live on products of identity,
 positive, and simplex blocks. Each block maps back and forth and reports the
 log-absolute-Jacobian of the unconstrained -> constrained direction.
+
+``constrain`` and ``log_jacobian`` take one point of shape (P,) or a batch
+of R points of shape (R, P), and return (P',) or (R, P') points and a float
+or an (R,) array; every row of a batch is bitwise equal to the same point
+passed alone. ``unconstrain`` takes one point.
 """
 
 from __future__ import annotations
@@ -12,6 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["IdentityBlock", "PositiveBlock", "SimplexBlock", "BlockTransform"]
+
+
+def _float_if_one(value):
+    """A float for one point's log-Jacobian, the (R,) array for a batch."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -33,7 +43,7 @@ class IdentityBlock:
         return np.asarray(theta, dtype=np.float64)
 
     def log_jacobian(self, z):
-        return 0.0
+        return _float_if_one(np.zeros(np.shape(z)[:-1]))
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,7 @@ class PositiveBlock:
         return np.log(theta)
 
     def log_jacobian(self, z):
-        return float(np.sum(z))
+        return _float_if_one(np.add.reduce(z, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -69,17 +79,20 @@ class SimplexBlock:
 
     Each z_k is squashed through a logistic with a -log(K-k) offset so z = 0
     lands on the uniform simplex. The Jacobian is triangular, so its log-abs
-    determinant is the sum of the per-stick diagonal terms.
+    determinant is the sum of the per-stick diagonal terms. ``constrain`` and
+    ``log_jacobian`` work on all rows of a batch at once, with the running
+    stick products and sums as cumulative products and sums along the K-1
+    sticks.
     """
 
     size: int  # number of simplex components K
-    # log(K-1-k), the stick offsets, as the numpy scalars np.log returns.
-    _offsets: tuple = field(init=False, repr=False, compare=False)
+    # log(K-1-k), the stick offsets, one np.log per stick.
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("simplex block needs at least 2 components")
-        offsets = tuple(np.log(self.size - 1 - k) for k in range(self.size - 1))
+        offsets = np.array([np.log(self.size - 1 - k) for k in range(self.size - 1)])
         object.__setattr__(self, "_offsets", offsets)
 
     @property
@@ -91,14 +104,16 @@ class SimplexBlock:
         return self.size
 
     def constrain(self, z):
-        z = np.asarray(z, dtype=np.float64)
-        x = np.empty(self.size)
-        stick = 1.0
-        for k, offset in enumerate(self._offsets):
-            u = _sigmoid(z[k] - offset)
-            x[k] = stick * u
-            stick *= 1.0 - u
-        x[-1] = stick
+        a = np.asarray(z, dtype=np.float64) - self._offsets
+        # The logistic u, as 1/(1+exp(-a)) for a >= 0 and as exp(a)/(1+exp(a))
+        # below: both are exp(min(a, 0)) / (1 + exp(-|a|)).
+        u = np.exp(np.minimum(a, 0.0)) / (1.0 + np.exp(-np.abs(a)))
+        # x_0 = u_0, x_k = u_k times what the first k sticks left, and the
+        # last component is all that is left.
+        x = np.empty(a.shape[:-1] + (self.size,))
+        x[..., 0] = 1.0
+        np.multiply.accumulate(1.0 - u, axis=-1, out=x[..., 1:])
+        x[..., :-1] *= u
         return x
 
     def unconstrain(self, theta):
@@ -114,22 +129,15 @@ class SimplexBlock:
         return z
 
     def log_jacobian(self, z):
-        z = np.asarray(z, dtype=np.float64)
-        total = 0.0
-        log_stick = 0.0
-        for k, offset in enumerate(self._offsets):
-            a = z[k] - offset
-            # log u + log(1-u) for u = sigmoid(a), computed stably
-            total += log_stick - np.logaddexp(0.0, -a) - np.logaddexp(0.0, a)
-            log_stick += -np.logaddexp(0.0, a)  # log(1 - u)
-        return float(total)
-
-
-def _sigmoid(a: float) -> float:
-    if a >= 0:
-        return 1.0 / (1.0 + np.exp(-a))
-    e = np.exp(a)
-    return e / (1.0 + e)
+        a = np.asarray(z, dtype=np.float64) - self._offsets
+        # log u = -logaddexp(0, -a) and log(1-u) = -logaddexp(0, a), stably.
+        minus_log_rest = np.logaddexp(0.0, a)
+        log_stick = np.zeros(a.shape)  # log of the stick before each break
+        np.add.accumulate(-minus_log_rest[..., :-1], axis=-1, out=log_stick[..., 1:])
+        terms = log_stick - np.logaddexp(0.0, -a) - minus_log_rest
+        # The running total adds the terms left to right; np.sum would add
+        # nine or more of them pairwise.
+        return _float_if_one(np.add.accumulate(terms, axis=-1)[..., -1])
 
 
 @dataclass(frozen=True)
@@ -159,9 +167,9 @@ class BlockTransform:
 
     def constrain(self, z):
         z = np.asarray(z, dtype=np.float64)
-        out = np.empty(self.constrained_dim)
+        out = np.empty(z.shape[:-1] + (self.constrained_dim,))
         for b, zs, ts in self._layout:
-            out[ts] = b.constrain(z[zs])
+            out[..., ts] = b.constrain(z[..., zs])
         return out
 
     def unconstrain(self, theta):
@@ -173,7 +181,7 @@ class BlockTransform:
 
     def log_jacobian(self, z):
         z = np.asarray(z, dtype=np.float64)
-        total = 0.0
+        total = np.zeros(z.shape[:-1])
         for b, zs, _ in self._layout:
-            total += b.log_jacobian(z[zs])
-        return float(total)
+            total += b.log_jacobian(z[..., zs])
+        return _float_if_one(total)

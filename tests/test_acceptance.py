@@ -193,9 +193,9 @@ def test_criterion_6_lemma_diagnostics(toy_posterior):
     flat = pk.ModelSpec(
         name="flat",
         transform=model.transform,
-        log_prior=lambda th: 0.0,
-        log_joint=lambda th: 0.0,
-        pointwise_row=lambda th: np.array([-2.0]),
+        log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
+        log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
+        pointwise_row=lambda th: np.full(np.shape(th)[:-1] + (1,), -2.0),
         data_count=1,
         datapoint_ids=("x",),
         prior_mean=np.array([1.0]),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -502,6 +503,36 @@ class TestCheckLemmaCommand:
             parse_args(argv + ["--formats", "csv"])
         assert exc.value.code == 2
         assert parse_args(argv).formats == ("csv",)
+
+
+class TestGoldenDigests:
+    """SHA-256 of outputs written by an earlier version (numpy 2.4, scipy 1.17, x86-64).
+
+    ``TestDeterminism`` compares two runs of one version; these pin the bytes
+    across versions, so a change that moves any draw of the chain fails here.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, name, digest",
+        [
+            (
+                ["fit", "--model", "presidents-nb2", "--warmup", "150", "--draws", "60",
+                 "--seed", "42"],
+                "summary.csv",
+                "9cc826dc50f3ea72d86e360fb3d387b7532c90020278571136030a6907ff73c7",
+            ),
+            (
+                ["check-lemma", "--model", "voting-base", "--synthetic", "300", "--warmup",
+                 "100", "--draws", "50"],
+                "lemma.csv",
+                "09239dab65fe3a6affaf45e1bae25e9abc30e3114b2ef6807615490b32b89c90",
+            ),
+        ],
+        ids=["fit-presidents", "check-lemma-voting"],
+    )
+    def test_output_digest(self, tmp_path, argv, name, digest):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestDeterminism:

@@ -383,6 +383,16 @@ class TestMatrixAndSummaries:
         assert scalar == pytest.approx(1.75, abs=1e-12)
         assert np.allclose(terms, 1.75)
 
+    def test_waic_terms_are_the_summaries_terms_across_blocks(self):
+        # 64 draws x 10000 points spans three kernel blocks of 4096 columns.
+        values = np.random.default_rng(4).normal(-5.0, 1.0, size=(64, 10000))
+        values[:, 4100] = -2.0  # a zero-variance column in the second block
+        m = pk.LogLikMatrix(values)
+        scalar, terms = pk.waic(m)
+        want = np.array([s.waic_term for s in pk.summarize(m)])
+        assert np.array_equal(terms.view(np.uint64), want.view(np.uint64))
+        assert scalar == float(np.mean(want))
+
     def test_waic_identical_columns(self):
         col = LOG_2_4[:, None]
         one, _ = pk.waic(pk.LogLikMatrix(col))

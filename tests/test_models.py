@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
@@ -349,6 +352,18 @@ class TestHierLogReg:
         with pytest.raises(ValueError):
             models.hier_logreg_model(table, "with_age")
 
+    @pytest.mark.parametrize(
+        "table_variant, variant, message",
+        [
+            ("with_edu", "with_age", "needs the age/edu column 'age', found 'edu'"),
+            ("with_age", "with_edu", "needs the age/edu column 'edu', found 'age'"),
+        ],
+    )
+    def test_variant_rejects_the_other_column(self, table_variant, variant, message):
+        table, _ = self._table(n=200, variant=table_variant)
+        with pytest.raises(ValueError, match=message):
+            models.hier_logreg_model(table, variant)
+
     def test_vote_table_validation(self):
         with pytest.raises(ValueError):
             models.VoteTable(
@@ -511,3 +526,46 @@ class TestHierLogRegCells:
         first[:] = 0.0
         assert same_bits(model.pointwise_row(theta), want)
         assert same_bits(model.log_joint(theta), per_respondent_target(table, "base")[2](theta))
+
+
+def _built_in_models():
+    days = datasets.presidents_days()
+    out = {
+        "nb2": models.nb2_mixture_model(days, datasets.presidents_ids()),
+        "gamma-toy": models.gamma_toy_model(models.simulate_toy_data(12, seed=2)),
+    }
+    for variant in models.HIER_VARIANTS:
+        table, _ = models.simulate_votes(400, seed=1, variant=variant)
+        out[f"voting-{variant}"] = models.hier_logreg_model(table, variant)
+    return out
+
+
+BUILT_IN_MODELS = _built_in_models()
+
+
+class TestBatchedTarget:
+    """Each row of an (R, P) batch gets the bits of the same theta passed alone."""
+
+    @given(st.sampled_from(sorted(BUILT_IN_MODELS)), st.integers(1, 12), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_row_equals_the_single_call(self, name, rows, data):
+        model = BUILT_IN_MODELS[name]
+        tf = model.transform
+        offsets = data.draw(
+            hnp.arrays(np.float64, (rows, model.dim), elements=st.floats(-3.0, 3.0))
+        )
+        z = tf.unconstrain(model.prior_mean) + offsets
+        theta = tf.constrain(z)
+        log_jac = tf.log_jacobian(z)
+        prior, joint = model.log_prior(theta), model.log_joint(theta)
+        pointwise = model.pointwise_row(theta)
+        assert theta.shape == (rows, tf.constrained_dim)
+        assert log_jac.shape == prior.shape == joint.shape == (rows,)
+        assert pointwise.shape == (rows, model.data_count)
+        for r in range(rows):
+            one = tf.constrain(z[r])
+            assert same_bits(theta[r], one)
+            singles = [tf.log_jacobian(z[r]), model.log_prior(one), model.log_joint(one)]
+            assert all(type(v) is float for v in singles)
+            assert same_bits([log_jac[r], prior[r], joint[r]], singles)
+            assert same_bits(pointwise[r], model.pointwise_row(one))

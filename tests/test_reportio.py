@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pdikit as pk
@@ -263,6 +263,52 @@ def test_summary_csv_round_trip_is_bitwise(tmp_path_factory, case, seed):
         assert rec["rank_wapdi"] == row.rank_wapdi
         assert rec["rank_logpred"] == row.rank_log_mu
         assert rec["flags"] == s.flags
+
+
+ndjson_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def summary_records(draw):
+    """Summary records as ``write_summary_ndjson`` builds them."""
+    record = {"id": draw(safe_id)}
+    record.update((c, draw(ndjson_float)) for c in reportio.SUMMARY_COLUMNS[1:8])
+    record["rank_wapdi"] = draw(st.integers(1, 10**9))
+    record["rank_logpred"] = draw(st.integers(1, 10**9))
+    flags = st.sampled_from(["nonfinite_loglik", "zero_variance", "near_singular_log_mu"])
+    record["flags"] = draw(st.lists(flags, unique=True))
+    return record
+
+
+class TestNdjsonTemplate:
+    @given(summary_records())
+    @settings(max_examples=300)
+    @example(
+        {
+            "id": "é\\t\u2603\\",
+            **dict.fromkeys(reportio.SUMMARY_COLUMNS[1:4], float("nan")),
+            **dict.fromkeys(reportio.SUMMARY_COLUMNS[4:6], float("-inf")),
+            **dict.fromkeys(reportio.SUMMARY_COLUMNS[6:8], float("inf")),
+            "rank_wapdi": 1,
+            "rank_logpred": 2,
+            "flags": ["nonfinite_loglik", "zero_variance"],
+        }
+    )
+    def test_line_equals_strict_json_dumps(self, record):
+        assert reportio._ndjson_line(record) == reportio._strict_json(record, sort_keys=True)
+
+    @given(degenerate_matrices(), st.integers(0, 2**32))
+    @settings(max_examples=50)
+    def test_written_lines_equal_strict_json_dumps(self, tmp_path_factory, case, seed):
+        values, ids = case
+        m = pk.LogLikMatrix(values, ids, allow_degenerate=True)
+        report = pk.rank_report(pk.summarize(m), m.datapoint_ids)
+        path = tmp_path_factory.mktemp("nd") / "summary.ndjson"
+        reportio.write_summary_ndjson(path, report, seed)
+        header = {"pdikit": pk.__version__, "seed": seed, "waic": report.waic}
+        records = [header] + [reportio._summary_record(row) for row in report.rows]
+        want = "".join(reportio._strict_json(r, sort_keys=True) + "\n" for r in records)
+        assert path.read_bytes() == want.encode("utf-8")
 
 
 def _strict(text):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.special import gammaln
 
@@ -26,13 +28,14 @@ def mcse_mean(values, n_batches: int = 50) -> float:
     return float(means.std(ddof=1) / np.sqrt(n_batches))
 
 
+# The helper models take one theta (P,) or a batch (R, P), as ModelSpec asks.
 def gaussian_model(sd=1.0):
     return pk.ModelSpec(
         name="gaussian",
         transform=BlockTransform([IdentityBlock(1)]),
-        log_prior=lambda th: 0.0,
-        log_joint=lambda th: float(-0.5 * (th[0] / sd) ** 2),
-        pointwise_row=lambda th: np.array([-0.5 * (th[0] / sd) ** 2]),
+        log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
+        log_joint=lambda th: -0.5 * (th[..., 0] / sd) ** 2,
+        pointwise_row=lambda th: -0.5 * (th[..., :1] / sd) ** 2,
         data_count=1,
         datapoint_ids=("x",),
         prior_mean=np.array([0.0]),
@@ -43,13 +46,28 @@ def one_dim_model(log_joint):
     return pk.ModelSpec(
         name="bad",
         transform=BlockTransform([IdentityBlock(1)]),
-        log_prior=lambda th: 0.0,
+        log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
         log_joint=log_joint,
-        pointwise_row=lambda th: np.array([0.0]),
+        pointwise_row=lambda th: np.zeros(np.shape(th)[:-1] + (1,)),
         data_count=1,
         datapoint_ids=("x",),
         prior_mean=np.array([0.0]),
     )
+
+
+def per_stick_simplex(z):
+    """Stick-breaking of one point, one scalar stick at a time: (x, log|J|)."""
+    k = z.size + 1
+    x, stick, log_stick, log_jac = np.empty(k), 1.0, 0.0, 0.0
+    for i in range(k - 1):
+        a = z[i] - np.log(k - 1 - i)
+        u = 1.0 / (1.0 + np.exp(-a)) if a >= 0 else np.exp(a) / (1.0 + np.exp(a))
+        x[i] = stick * u
+        stick *= 1.0 - u
+        log_jac += log_stick - np.logaddexp(0.0, -a) - np.logaddexp(0.0, a)
+        log_stick += -np.logaddexp(0.0, a)
+    x[-1] = stick
+    return x, log_jac
 
 
 class TestTransforms:
@@ -100,6 +118,32 @@ class TestTransforms:
             0.0,
         ]
         assert tf.log_jacobian(z) == pytest.approx(sum(parts), rel=1e-14)
+
+    @given(st.integers(2, 6), st.integers(1, 12), st.data())
+    @settings(max_examples=60)
+    def test_batch_rows_equal_single_points(self, k, rows, data):
+        # Wide enough for both logistic branches and sticks of under 1e-13.
+        z = data.draw(hnp.arrays(np.float64, (rows, k + 2), elements=st.floats(-30.0, 30.0)))
+        tf = BlockTransform([SimplexBlock(k), PositiveBlock(2), IdentityBlock(1)])
+        theta, log_jac = tf.constrain(z), tf.log_jacobian(z)
+        assert theta.shape == (rows, k + 3) and log_jac.shape == (rows,)
+        for r in range(rows):
+            one = tf.constrain(z[r])
+            assert np.array_equal(theta[r].view(np.uint64), one.view(np.uint64))
+            assert np.float64(log_jac[r]).view(np.uint64) == np.float64(
+                tf.log_jacobian(z[r])
+            ).view(np.uint64)
+
+    @given(st.integers(2, 12), st.data())
+    @settings(max_examples=60)
+    def test_simplex_matches_the_per_stick_loop(self, k, data):
+        z = data.draw(hnp.arrays(np.float64, k - 1, elements=st.floats(-30.0, 30.0)))
+        block = SimplexBlock(k)
+        want_x, want_log_jac = per_stick_simplex(z)
+        assert np.array_equal(block.constrain(z).view(np.uint64), want_x.view(np.uint64))
+        assert np.float64(block.log_jacobian(z)).view(np.uint64) == np.float64(
+            want_log_jac
+        ).view(np.uint64)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -225,6 +269,79 @@ class TestOneSweepMatchesTwoLoopReference:
         assert d.warnings == warnings
 
 
+def _start_guarded_model(raise_instead):
+    """A 2-D standard normal whose target fails where x is still at its start, 0.
+
+    Such a point is a proposal for y made before x has ever moved. A chain
+    whose first move is an x step accepted before any y proposal never walks
+    to one, but the prefetched sweep builds one speculatively, past that
+    acceptance. ``hits`` counts the target calls that met one.
+    """
+    hits = []
+
+    def log_joint(th):
+        x, y = th[..., 0], th[..., 1]
+        bad = (x == 0.0) & (y != 0.0)
+        if np.any(bad):
+            hits.append(np.shape(th))
+            if raise_instead:
+                raise ValueError("x never moved")
+        return np.where(bad, np.nan, -0.5 * (x * x + y * y))
+
+    model = pk.ModelSpec(
+        name="start-guarded",
+        transform=BlockTransform([IdentityBlock(2)]),
+        log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
+        log_joint=log_joint,
+        pointwise_row=lambda th: np.zeros(np.shape(th)[:-1] + (1,)),
+        data_count=1,
+        datapoint_ids=("x",),
+        prior_mean=np.zeros(2),
+    )
+    return model, hits
+
+
+class TestPrefetchedSweep:
+    @pytest.mark.parametrize("raise_instead", [False, True], ids=["nan-row", "raising-call"])
+    def test_speculative_bad_row_past_an_acceptance_is_never_walked(self, raise_instead):
+        model, hits = _start_guarded_model(raise_instead)
+        cfg = pk.SamplerConfig(warmup_steps=50, kept_draws=50, seed=0)
+        draws, rate, warnings = two_loop_metropolis(model, cfg)
+        assert hits == []  # one proposal at a time never meets a bad point
+        d = pk.adaptive_rw_metropolis(model, cfg)
+        assert hits and hits[0] == (2, 2)  # a batch of two met one
+        assert np.array_equal(d.draws.view(np.uint64), draws.view(np.uint64))
+        assert d.acceptance_rate == rate and d.warnings == warnings
+
+    @pytest.mark.parametrize("raise_instead", [False, True], ids=["nan-row", "raising-call"])
+    def test_walked_bad_row_still_aborts(self, raise_instead):
+        # Seed 3 proposes y before x has moved, so the chain walks to a bad point.
+        model, _ = _start_guarded_model(raise_instead)
+        cfg = pk.SamplerConfig(warmup_steps=50, kept_draws=50, seed=3)
+        error = ValueError if raise_instead else pk.SamplerError
+        with pytest.raises(error):
+            two_loop_metropolis(model, cfg)
+        with pytest.raises(error, match="x never moved" if raise_instead else "NaN at"):
+            pk.adaptive_rw_metropolis(model, cfg)
+
+    def test_fewer_target_calls_than_coordinate_updates(self):
+        model = _presidents_model()
+        batches = []
+
+        def log_joint(theta):
+            batches.append(len(theta))
+            return model.log_joint(theta)
+
+        cfg = pk.SamplerConfig(warmup_steps=150, kept_draws=60, seed=42)
+        counted = dataclasses.replace(model, log_joint=log_joint)
+        pk.adaptive_rw_metropolis(counted, cfg)
+        updates = (150 + 60) * model.dim
+        # About one call per sweep and per acceptance (514 here), while every
+        # update is still evaluated.
+        assert len(batches) < updates // 2
+        assert sum(batches) >= updates + 1
+
+
 class TestAdaptiveMetropolis:
     def test_gaussian_mean_within_mc_error(self):
         cfg = pk.SamplerConfig(warmup_steps=2000, kept_draws=20000, seed=7)
@@ -256,7 +373,7 @@ class TestAdaptiveMetropolis:
 
     def test_nan_log_joint_aborts_with_point(self):
         def bad_joint(th):
-            return float("nan") if th[0] > 0.5 else -0.5 * th[0] ** 2
+            return np.where(th[..., 0] > 0.5, np.nan, -0.5 * th[..., 0] ** 2)
 
         with pytest.raises(pk.SamplerError, match="NaN"):
             pk.adaptive_rw_metropolis(
@@ -268,7 +385,7 @@ class TestAdaptiveMetropolis:
         # Accepting +inf would freeze the chain there: every later proposal
         # has lp_prop - inf = -inf and is rejected.
         def bad_joint(th):
-            return float("inf") if th[0] > 0.5 else -0.5 * th[0] ** 2
+            return np.where(th[..., 0] > 0.5, np.inf, -0.5 * th[..., 0] ** 2)
 
         with pytest.raises(pk.SamplerError, match=r"\+inf at unconstrained point"):
             pk.adaptive_rw_metropolis(
@@ -277,7 +394,7 @@ class TestAdaptiveMetropolis:
             )
 
     def test_nonfinite_start_rejected(self):
-        model = one_dim_model(lambda th: float("-inf"))
+        model = one_dim_model(lambda th: np.full(np.shape(th)[:-1], -np.inf))
         with pytest.raises(pk.SamplerError, match="initial point"):
             pk.adaptive_rw_metropolis(
                 model, pk.SamplerConfig(warmup_steps=10, kept_draws=10, seed=0)
@@ -303,15 +420,15 @@ class TestAdaptiveMetropolis:
         tf = BlockTransform([SimplexBlock(3), PositiveBlock(1)])
 
         def log_joint(th):
-            pi, lam = th[:3], th[3]
-            return float(0.5 * np.sum(np.log(pi)) - lam + 0.2 * np.log(lam))
+            pi, lam = th[..., :3], th[..., 3]
+            return 0.5 * np.sum(np.log(pi), axis=-1) - lam + 0.2 * np.log(lam)
 
         model = pk.ModelSpec(
             name="constrained",
             transform=tf,
             log_prior=log_joint,
             log_joint=log_joint,
-            pointwise_row=lambda th: np.zeros(1),
+            pointwise_row=lambda th: np.zeros(np.shape(th)[:-1] + (1,)),
             data_count=1,
             datapoint_ids=("x",),
             prior_mean=np.array([1 / 3, 1 / 3, 1 / 3, 1.0]),
@@ -384,6 +501,23 @@ class TestConjugateGamma:
 
 
 class TestLogLikMatrixFromDraws:
+    def test_batched_rows_equal_single_draws(self):
+        model = _voting_model("with_edu")
+        rng = np.random.default_rng(6)
+        z = model.transform.unconstrain(model.prior_mean) + rng.normal(size=(40, model.dim))
+        draws = pk.posterior_draws_from(model.transform.constrain(z), 0.5, 0)
+        calls = []
+
+        def pointwise_row(theta):
+            calls.append(len(theta))
+            return model.pointwise_row(theta)
+
+        counted = dataclasses.replace(model, pointwise_row=pointwise_row)
+        values = pk.loglik_matrix(counted, draws).values
+        want = np.array([model.pointwise_row(theta) for theta in draws.draws])
+        assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+        assert calls == [13, 13, 13, 1]  # 2^12 cells per batch at N = 300
+
     def test_entries_and_row_sums(self):
         from pdikit.models import gamma_toy_model, simulate_toy_data
 
@@ -412,13 +546,14 @@ class TestLogLikMatrixFromDraws:
     def test_nan_entry_names_first_draw_and_datapoint(self):
         # Draw 2 is NaN at both datapoints; draw 1, at datapoint 1 only.
         def row(th):
-            return np.array([np.nan if th[0] > 0.8 else 0.0, np.nan if th[0] > 0.5 else -1.0])
+            x = th[..., 0]
+            return np.stack([np.where(x > 0.8, np.nan, 0.0), np.where(x > 0.5, np.nan, -1.0)], -1)
 
         model = pk.ModelSpec(
             name="nan-row",
             transform=BlockTransform([IdentityBlock(1)]),
-            log_prior=lambda th: 0.0,
-            log_joint=lambda th: 0.0,
+            log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
+            log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
             pointwise_row=row,
             data_count=2,
             datapoint_ids=("a", "b"),

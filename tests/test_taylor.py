@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,14 @@ import pytest
 from scipy.stats import spearmanr
 
 import pdikit as pk
-from pdikit import models
-from pdikit.taylor import compare_exact_vs_taylor, pointwise_gradient, wapdi_taylor
+from pdikit import datasets, models
+from pdikit.taylor import (
+    _FD_STEP,
+    _jacobian,
+    compare_exact_vs_taylor,
+    pointwise_gradient,
+    wapdi_taylor,
+)
 from pdikit.transforms import BlockTransform, IdentityBlock
 
 
@@ -32,9 +39,9 @@ class TestGradient:
         model = pk.ModelSpec(
             name="flat",
             transform=BlockTransform([IdentityBlock(2)]),
-            log_prior=lambda th: 0.0,
-            log_joint=lambda th: 0.0,
-            pointwise_row=lambda th: np.array([-1.5]),
+            log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
+            log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
+            pointwise_row=lambda th: np.full(np.shape(th)[:-1] + (1,), -1.5),
             data_count=1,
             datapoint_ids=("x",),
             prior_mean=np.zeros(2),
@@ -43,14 +50,48 @@ class TestGradient:
         assert np.all(g == 0.0)
 
 
+def per_coordinate_jacobian(model, theta):
+    """The Jacobian from two single-theta ``pointwise_row`` calls per coordinate."""
+    jac = np.empty((model.data_count, theta.size))
+    for d in range(theta.size):
+        h = _FD_STEP * max(1.0, abs(theta[d]))
+        up, dn = theta.copy(), theta.copy()
+        up[d] += h
+        dn[d] -= h
+        jac[:, d] = (model.pointwise_row(up) - model.pointwise_row(dn)) / (2.0 * h)
+    return jac
+
+
+@pytest.mark.parametrize("variant", ["nb2", "with_edu"])
+def test_jacobian_is_two_batched_calls_with_per_coordinate_bits(variant):
+    if variant == "nb2":
+        model = models.nb2_mixture_model(datasets.presidents_days())
+    else:
+        table, _ = models.simulate_votes(300, seed=2, variant=variant)
+        model = models.hier_logreg_model(table, variant)
+    rng = np.random.default_rng(8)
+    z = model.transform.unconstrain(model.prior_mean) + 0.5 * rng.normal(size=model.dim)
+    theta = model.transform.constrain(z)
+    calls = []
+
+    def pointwise_row(th):
+        calls.append(np.shape(th))
+        return model.pointwise_row(th)
+
+    jac = _jacobian(dataclasses.replace(model, pointwise_row=pointwise_row), theta)
+    assert calls == [(theta.size, theta.size)] * 2  # the steps up, then down
+    want = per_coordinate_jacobian(model, theta)
+    assert np.array_equal(jac.view(np.uint64), want.view(np.uint64))
+
+
 class TestTaylorValue:
     def test_zero_gradient_gives_exact_zero(self):
         model = pk.ModelSpec(
             name="flat",
             transform=BlockTransform([IdentityBlock(2)]),
-            log_prior=lambda th: 0.0,
-            log_joint=lambda th: 0.0,
-            pointwise_row=lambda th: np.array([-1.5]),
+            log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
+            log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
+            pointwise_row=lambda th: np.full(np.shape(th)[:-1] + (1,), -1.5),
             data_count=1,
             datapoint_ids=("x",),
             prior_mean=np.zeros(2),
