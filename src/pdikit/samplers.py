@@ -121,6 +121,20 @@ class PosteriorDraws:
     warnings: tuple[str, ...] = ()
 
 
+def _checked_batch(name: str, out, shape: tuple):
+    """``out``, the result of a ModelSpec function on a batch, if it has ``shape``.
+
+    A function written for one theta can return a scalar or a single row for
+    a batch, which numpy would broadcast over every row without a word.
+    """
+    if np.shape(out) != shape:
+        raise ValueError(
+            f"{name} returned shape {np.shape(out)} for a batch that needs {shape}; "
+            "ModelSpec functions take an (R, P) batch of thetas"
+        )
+    return out
+
+
 def posterior_draws_from(
     draws, acceptance_rate: float, seed: int, warnings: tuple[str, ...] = ()
 ) -> PosteriorDraws:
@@ -164,7 +178,8 @@ def adaptive_rw_metropolis(model: ModelSpec, config: SamplerConfig) -> Posterior
 
     def target(zs: np.ndarray) -> list[float]:
         """The log target at each row of an (R, dim) batch of unconstrained points."""
-        return (model.log_joint(tf.constrain(zs)) + tf.log_jacobian(zs)).tolist()
+        lp = _checked_batch("log_joint", model.log_joint(tf.constrain(zs)), (len(zs),))
+        return (lp + tf.log_jacobian(zs)).tolist()
 
     def checked(z: np.ndarray, lp: float) -> float:
         if math.isnan(lp) or lp == math.inf:
@@ -241,10 +256,13 @@ def loglik_matrix(model: ModelSpec, draws: PosteriorDraws) -> LogLikMatrix:
     Draws go to ``pointwise_row`` in batches of about ``LOGLIK_BLOCK_CELLS``
     cells.
     """
-    values = np.empty((draws.draws.shape[0], model.data_count))
-    step = max(1, LOGLIK_BLOCK_CELLS // model.data_count)
+    n = model.data_count
+    values = np.empty((draws.draws.shape[0], n))
+    step = max(1, LOGLIK_BLOCK_CELLS // n)
     for start in range(0, values.shape[0], step):
-        values[start : start + step] = model.pointwise_row(draws.draws[start : start + step])
+        thetas = draws.draws[start : start + step]
+        rows = model.pointwise_row(thetas)
+        values[start : start + step] = _checked_batch("pointwise_row", rows, (len(thetas), n))
     if np.isnan(values.min()):  # min propagates NaN without a full-size mask
         s, n = np.argwhere(np.isnan(values))[0].tolist()
         raise SamplerError(f"NaN pointwise log-likelihood at draw {s}, datapoint {n}")

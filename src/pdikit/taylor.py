@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import NEAR_SINGULAR_EPS, LogLikMatrix, summarize
-from .samplers import ModelSpec, PosteriorDraws
+from .samplers import ModelSpec, PosteriorDraws, _checked_batch
 
 __all__ = [
     "TaylorRow",
@@ -63,8 +63,11 @@ def _jacobian(model: ModelSpec, theta) -> np.ndarray:
     diag = np.arange(dim)
     up[diag, diag] += h
     down[diag, diag] -= h
-    rows = model.pointwise_row(up) - model.pointwise_row(down)
-    return np.ascontiguousarray((rows / (2.0 * h)[:, None]).T)
+    shape = (dim, model.data_count)
+    up_rows, down_rows = (
+        _checked_batch("pointwise_row", model.pointwise_row(p), shape) for p in (up, down)
+    )
+    return np.ascontiguousarray(((up_rows - down_rows) / (2.0 * h)[:, None]).T)
 
 
 def pointwise_gradient(model: ModelSpec, n: int, theta) -> np.ndarray:

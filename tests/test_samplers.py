@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 import pdikit as pk
+from pdikit.taylor import pointwise_gradient
 from pdikit.transforms import BlockTransform, IdentityBlock, PositiveBlock, SimplexBlock
 
 unconstrained = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
@@ -340,6 +341,29 @@ class TestPrefetchedSweep:
         # update is still evaluated.
         assert len(batches) < updates // 2
         assert sum(batches) >= updates + 1
+
+
+def test_functions_written_for_one_theta_are_refused():
+    # Given a batch, each returns one value or one row, which would otherwise
+    # be broadcast over every row of the batch.
+    model = pk.ModelSpec(
+        name="one-theta",
+        transform=BlockTransform([IdentityBlock(1)]),
+        log_prior=lambda th: 0.0,
+        log_joint=lambda th: float(-0.5 * np.ravel(th)[0] ** 2),
+        pointwise_row=lambda th: np.array([-0.5 * np.ravel(th)[0] ** 2]),
+        data_count=1,
+        datapoint_ids=("x",),
+        prior_mean=np.array([0.0]),
+    )
+    cfg = pk.SamplerConfig(warmup_steps=5, kept_draws=5, seed=0)
+    with pytest.raises(ValueError, match=r"log_joint returned shape \(\) .* needs \(1,\)"):
+        pk.adaptive_rw_metropolis(model, cfg)
+    draws = pk.posterior_draws_from(np.array([[0.1], [0.2], [0.3]]), 1.0, 0)
+    with pytest.raises(ValueError, match=r"pointwise_row returned shape \(1,\) .* \(3, 1\)"):
+        pk.loglik_matrix(model, draws)
+    with pytest.raises(ValueError, match=r"pointwise_row returned shape \(1,\) .* \(1, 1\)"):
+        pointwise_gradient(model, 0, np.array([0.3]))
 
 
 class TestAdaptiveMetropolis:
