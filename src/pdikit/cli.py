@@ -49,12 +49,12 @@ class RunConfig:
     top_k: int | None = None
     allow_degenerate: bool = False
     dump_data: bool = False
-    draws: int = 1000
-    warmup: int = 1000
-    thin: int = 1
-    step: float = 0.5
-    target_accept: float = 0.234
-    seed: int = 0
+    draws: int = SamplerConfig.kept_draws
+    warmup: int = SamplerConfig.warmup_steps
+    thin: int = SamplerConfig.thinning
+    step: float = SamplerConfig.initial_step_size
+    target_accept: float = SamplerConfig.adaptation_target_acceptance
+    seed: int = SamplerConfig.seed
 
     def sampler_config(self) -> SamplerConfig:
         return SamplerConfig(
@@ -67,6 +67,17 @@ class RunConfig:
         )
 
 
+def _positive_int(text: str) -> int:
+    """An argparse ``type``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_output_args(p: argparse.ArgumentParser, formats: bool = True) -> None:
     p.add_argument("--out", required=True, help="output directory")
     if formats:
@@ -75,18 +86,19 @@ def _add_output_args(p: argparse.ArgumentParser, formats: bool = True) -> None:
             default="csv",
             help=f"comma-separated subset of {','.join(FORMATS)} (default csv)",
         )
-    p.add_argument("--top-k", type=int, default=None, help="truncate ranked outputs")
+    p.add_argument("--top-k", type=_positive_int, default=None, help="truncate ranked outputs")
 
 
 def _add_sampler_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--draws", type=int, default=1000, help="kept posterior draws S")
-    p.add_argument("--warmup", type=int, default=1000, help="warmup iterations")
-    p.add_argument("--thin", type=int, default=1, help="thinning interval")
-    p.add_argument("--step", type=float, default=0.5, help="initial proposal step size")
+    d = RunConfig  # its defaults
+    p.add_argument("--draws", type=int, default=d.draws, help="kept posterior draws S")
+    p.add_argument("--warmup", type=int, default=d.warmup, help="warmup iterations")
+    p.add_argument("--thin", type=int, default=d.thin, help="thinning interval")
+    p.add_argument("--step", type=float, default=d.step, help="initial proposal step size")
     p.add_argument(
-        "--target-accept", type=float, default=0.234, help="adaptation target"
+        "--target-accept", type=float, default=d.target_accept, help="adaptation target"
     )
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (sole entropy source)")
+    p.add_argument("--seed", type=int, default=d.seed, help="RNG seed (sole entropy source)")
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -94,7 +106,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", default=None, help="input dataset CSV (model-specific)")
     p.add_argument(
         "--synthetic",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="generate N synthetic observations instead of reading --data",
@@ -126,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep -inf entries and flag the affected columns",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
+    p.add_argument("--seed", type=int, default=RunConfig.seed, help="seed recorded in outputs")
     _add_output_args(p)
 
     p = sub.add_parser("fit", help="fit a built-in model and score its data")
@@ -147,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="print the worst datapoints of a summary")
     p.add_argument("--input", required=True, help="summary.csv from compute/fit")
-    p.add_argument("--top-k", type=int, default=10)
+    p.add_argument("--top-k", type=_positive_int, default=10)
     p.add_argument("--out", default=None, help="also write report.csv here")
 
     p = sub.add_parser("check-lemma", help="exact vs Taylor-approximate WAPDI")
@@ -173,7 +185,7 @@ def parse_args(argv) -> RunConfig:
     known = RunConfig.__dataclass_fields__.keys()
     cfg = RunConfig(**{k: v for k, v in kwargs.items() if k in known})
     if cfg.command in ("fit", "check-lemma"):
-        if cfg.model == "presidents-nb2" and (cfg.data or cfg.synthetic):
+        if cfg.model == "presidents-nb2" and (cfg.data or cfg.synthetic is not None):
             parser.error("presidents-nb2 uses the embedded dataset only")
         if cfg.group_by and not (cfg.model or "").startswith("voting-"):
             parser.error("--group-by applies to voting models only")
@@ -206,7 +218,7 @@ def _build_model(cfg: RunConfig) -> _BuiltModel:
                 raise reportio.InputFormatError(f"{cfg.data}: values must be > 0")
             source = cfg.data
         else:
-            n = cfg.synthetic if cfg.synthetic else 10
+            n = 10 if cfg.synthetic is None else cfg.synthetic
             data = models.simulate_toy_data(n, rate=1.0, seed=cfg.seed)
             source = f"synthetic gamma draws (n={n})"
         model = models.gamma_toy_model(data)
@@ -222,7 +234,7 @@ def _build_model(cfg: RunConfig) -> _BuiltModel:
             )
         source = cfg.data
     else:
-        n = cfg.synthetic if cfg.synthetic else 2000
+        n = 2000 if cfg.synthetic is None else cfg.synthetic
         table, _ = models.simulate_votes(n, seed=cfg.seed, variant=variant)
         source = f"synthetic survey (n={n})"
     model = models.hier_logreg_model(table, variant)
@@ -290,6 +302,8 @@ def _write_outputs(
     cfg: RunConfig,
     extra_meta: dict,
 ) -> None:
+    # Before any file is written, so that a missing label leaves no outputs.
+    group_means = group_aggregate(report) if report.group_labels else None
     outdir.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
         reportio.write_summary_csv(outdir / "summary.csv", report, cfg.seed)
@@ -303,11 +317,8 @@ def _write_outputs(
         "n_excluded": report.n_excluded,
         **extra_meta,
     }
-    if report.group_labels:
-        payload["group_means"] = {
-            label: asdict(stats)
-            for label, stats in group_aggregate(report).items()
-        }
+    if group_means is not None:
+        payload["group_means"] = {label: asdict(stats) for label, stats in group_means.items()}
     reportio.write_run_json(outdir / "run.json", payload)
 
 

@@ -9,8 +9,9 @@ Three families:
 * hierarchical logistic regression for vote/sex/race/state tables, in three
   variants (base, +age, +edu).
 
-Each model's functions are written once, for an (R, P) batch of thetas, and
-also take one theta (see ``ModelSpec``).
+Each model's functions are written once over the last axis, which holds the
+parameter vector, so one (P,) theta and an (R, P) batch run the same lines
+(see ``ModelSpec``).
 """
 
 from __future__ import annotations
@@ -78,24 +79,6 @@ def moment_match_mu_prior(data) -> tuple[float, float]:
     if v <= 0:
         raise ValueError("data variance must be > 0 to moment-match a gamma prior")
     return float(m * m / v), float(m / v)
-
-
-def _one_or_many(fn):
-    """``fn``, written for an (R, P) batch of thetas, made callable on one theta.
-
-    A (P,) theta is evaluated as the batch of one and gets one theta's types
-    back: a float where a batch gets (R,), a length-N row where it gets
-    (R, N).
-    """
-
-    def call(theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.ndim == 2:
-            return fn(theta)
-        out = fn(theta[None, :])[0]
-        return float(out) if out.ndim == 0 else out
-
-    return call
 
 
 def _gamma_logpdf(x, shape, rate):
@@ -173,16 +156,16 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
     shape_minus_1 = np.repeat([mu_shape - 1.0, _PHI_PRIOR_SHAPE - 1.0], K)
     rate = np.repeat([mu_rate, _PHI_PRIOR_RATE], K)
 
-    # Each function takes an (R, 9) batch of thetas.
+    # Each function takes a (..., 9) theta or batch of thetas.
     def log_prior(theta):
-        params = theta[:, K:]
+        params = theta[..., K:]
         terms = const + shape_minus_1 * np.log(params) - rate * params
-        mu_sum, phi_sum = terms.reshape(-1, 2, K).sum(axis=2).T
+        mu_sum, phi_sum = terms.reshape(theta.shape[:-1] + (2, K)).sum(axis=-1).T
         return log_dirichlet + mu_sum + phi_sum
 
     def pointwise_row(theta):
-        # (K, R, 1) parameters against the (N,) counts: (K, R, N) components
-        by_param = np.ascontiguousarray(theta.T)[:, :, None]
+        # (K, ..., 1) parameters against the (N,) counts: (K, ..., N) components
+        by_param = np.ascontiguousarray(theta.T)[..., None]
         pi, mu, phi, params = by_param[:K], by_param[K : 2 * K], by_param[2 * K :], by_param[K:]
         if not params.min() > 0 or not params.max() < np.inf:  # NaN fails both
             nb2_log_pmf(x, mu, phi)  # raises the classified ValueError
@@ -199,7 +182,7 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
     def log_joint(theta):
         # The row first: for a bad theta it raises the classified ValueError
         # before the prior can warn on the same values.
-        row_sum = pointwise_row(theta).sum(axis=1)
+        row_sum = pointwise_row(theta).sum(axis=-1)
         return log_prior(theta) + row_sum
 
     prior_mean = np.concatenate(
@@ -212,9 +195,9 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
     return ModelSpec(
         name="nb2-mixture",
         transform=BlockTransform([SimplexBlock(K), PositiveBlock(K), PositiveBlock(K)]),
-        log_prior=_one_or_many(log_prior),
-        log_joint=_one_or_many(log_joint),
-        pointwise_row=_one_or_many(pointwise_row),
+        log_prior=log_prior,
+        log_joint=log_joint,
+        pointwise_row=pointwise_row,
         data_count=data.size,
         datapoint_ids=tuple(ids),
         prior_mean=prior_mean,
@@ -275,24 +258,24 @@ def gamma_toy_model(data, eval_points=None, ids=None) -> ModelSpec:
     sum_x = float(data.sum())
     n = data.size
 
-    # Each function takes an (R, 1) batch of rates.
+    # Each function takes a (..., 1) rate or batch of rates.
     def log_prior(theta):
-        return _gamma_logpdf(theta[:, 0], TOY_PRIOR_SHAPE, TOY_PRIOR_RATE)
+        return _gamma_logpdf(theta[..., 0], TOY_PRIOR_SHAPE, TOY_PRIOR_RATE)
 
     def log_joint(theta):
-        beta = theta[:, 0]
+        beta = theta[..., 0]
         total = n * (a * np.log(beta) - gammaln(a)) + (a - 1.0) * sum_log_x - beta * sum_x
         return log_prior(theta) + total
 
     def pointwise_row(theta):
-        return _gamma_logpdf(pts, a, theta)  # (R, 1) rates against (N,) points
+        return _gamma_logpdf(pts, a, theta)  # (..., 1) rates against (N,) points
 
     return ModelSpec(
         name="gamma-toy",
         transform=BlockTransform([PositiveBlock(1)]),
-        log_prior=_one_or_many(log_prior),
-        log_joint=_one_or_many(log_joint),
-        pointwise_row=_one_or_many(pointwise_row),
+        log_prior=log_prior,
+        log_joint=log_joint,
+        pointwise_row=pointwise_row,
         data_count=pts.size,
         datapoint_ids=tuple(ids),
         prior_mean=np.array([TOY_PRIOR_SHAPE / TOY_PRIOR_RATE]),
@@ -449,13 +432,13 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         prior_mean += [0.0, half_normal_mean] + [0.0] * n
         off += 2 + n
 
-    # Each function takes an (R, P) batch of thetas. Per-cell and
+    # Each function takes a (..., P) theta or batch of thetas. Per-cell and
     # per-respondent values are gathered with np.take, which keeps them
     # C-ordered, so each theta's sum over its row is the sum of a lone row.
     def linear_predictor(theta):
-        eta = theta[:, 0:1] * female + theta[:, 1:2] * black
+        eta = theta[..., 0:1] * female + theta[..., 1:2] * black
         for _, _, alpha_idx in groups:
-            eta = eta + np.take(theta, alpha_idx, axis=1)
+            eta = eta + np.take(theta, alpha_idx, axis=-1)
         return eta
 
     log_hyper = np.log(_HYPER_SCALE)
@@ -467,28 +450,30 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         return -0.5 * (u * u) - log_scale - half_log_2pi
 
     def log_prior(theta):
-        lp = normal_logpdf(theta[:, :2], log_unit).sum(axis=1)
+        # For one theta lp is a numpy scalar, which += rebinds; lp = lp + a - b
+        # would group the additions differently and change the last bits.
+        lp = normal_logpdf(theta[..., :2], log_unit).sum(axis=-1)
         for off, n, _ in groups:
-            mu, sigma = theta[:, off], theta[:, off + 1]
-            alpha = theta[:, off + 2 : off + 2 + n]
+            mu, sigma = theta[..., off], theta[..., off + 1]
+            alpha = theta[..., off + 2 : off + 2 + n]
             lp += normal_logpdf(mu / _HYPER_SCALE, log_hyper)
             lp += normal_logpdf(sigma / _HYPER_SCALE, log_hyper)
-            u = (alpha - mu[:, None]) / sigma[:, None]
-            lp += normal_logpdf(u, log_unit).sum(axis=1) - n * np.log(sigma)
+            u = (alpha - mu[..., None]) / sigma[..., None]
+            lp += normal_logpdf(u, log_unit).sum(axis=-1) - n * np.log(sigma)
         return lp
 
     def pointwise_row(theta):
-        return np.take(_bernoulli_logit_loglik(y, linear_predictor(theta)), inverse, axis=1)
+        return np.take(_bernoulli_logit_loglik(y, linear_predictor(theta)), inverse, axis=-1)
 
     def log_joint(theta):
-        return log_prior(theta) + pointwise_row(theta).sum(axis=1)
+        return log_prior(theta) + pointwise_row(theta).sum(axis=-1)
 
     return ModelSpec(
         name=f"hier-logreg-{variant}",
         transform=BlockTransform(blocks),
-        log_prior=_one_or_many(log_prior),
-        log_joint=_one_or_many(log_joint),
-        pointwise_row=_one_or_many(pointwise_row),
+        log_prior=log_prior,
+        log_joint=log_joint,
+        pointwise_row=pointwise_row,
         data_count=table.n,
         datapoint_ids=table.row_ids(),
         prior_mean=np.array(prior_mean),

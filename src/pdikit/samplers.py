@@ -20,7 +20,7 @@ first acceptance moves the state, and the rest of the sweep is rebuilt from
 it. The chain is the one-proposal-at-a-time chain bit for bit, for one
 target call per acceptance instead of one per coordinate.
 
-Models and transforms take a batch: see ``ModelSpec``.
+Models and transforms take one theta or a batch: see ``ModelSpec``.
 """
 
 from __future__ import annotations
@@ -83,22 +83,25 @@ class SamplerConfig:
 class ModelSpec:
     """A model as the sampler and estimators see it.
 
-    ``log_joint``, ``log_prior`` and ``pointwise_row`` take an (R, P) batch
-    of constrained parameter vectors and return (R,), (R,) and (R, N): one
-    log density, one log prior and one row of N pointwise log-likelihoods per
-    theta. Every row must be bitwise equal to the same theta evaluated alone,
-    whatever else is in the batch: the sampler scores proposals in batches
-    and its chain must not depend on their size. One (P,) theta is the case
-    R = 1 and returns a float, a float and a length-N row. ``log_joint`` must
-    equal log_prior + sum(pointwise_row) up to arithmetic noise -- tests
-    assert this factorization on every built-in model. ``prior_mean``
-    (constrained space) seeds the chain after mapping to unconstrained space.
+    ``log_joint``, ``log_prior`` and ``pointwise_row`` take constrained
+    parameter vectors along the last axis, (..., P), and return (...), (...)
+    and (..., N): one log density, one log prior and one row of N pointwise
+    log-likelihoods per theta, where ``...`` is () or (R,). One (P,) theta
+    gives a float (``np.float64``) or a length-N row; an (R, P) batch gives
+    (R,) or (R, N), and each of its rows must be bitwise equal to the same
+    theta evaluated alone, whatever else is in the batch: the sampler scores
+    proposals in batches and its chain must not depend on their size. The
+    built-in models write each function once over the last axis, with no
+    branch on the rank. ``log_joint`` must equal log_prior + sum(pointwise_row)
+    up to arithmetic noise -- tests assert this factorization on every
+    built-in model. ``prior_mean`` (constrained space) seeds the chain after
+    mapping to unconstrained space.
     """
 
     name: str
     transform: BlockTransform
-    log_prior: Callable[[np.ndarray], float]
-    log_joint: Callable[[np.ndarray], float]
+    log_prior: Callable[[np.ndarray], float | np.ndarray]
+    log_joint: Callable[[np.ndarray], float | np.ndarray]
     pointwise_row: Callable[[np.ndarray], np.ndarray]
     data_count: int
     datapoint_ids: tuple[str, ...]

@@ -4,10 +4,11 @@ Samplers walk in unconstrained R^d; models live on products of identity,
 positive, and simplex blocks. Each block maps back and forth and reports the
 log-absolute-Jacobian of the unconstrained -> constrained direction.
 
-``constrain`` and ``log_jacobian`` take one point of shape (P,) or a batch
-of R points of shape (R, P), and return (P',) or (R, P') points and a float
-or an (R,) array; every row of a batch is bitwise equal to the same point
-passed alone. ``unconstrain`` takes one point.
+``constrain`` and ``log_jacobian`` are written once over the last axis:
+(..., P) points give (..., P') points and a (...) log-Jacobian, with ``...``
+() for one point, which gets a float (``np.float64``), or (R,) for a batch,
+each row of which is bitwise equal to the same point passed alone.
+``unconstrain`` takes one point.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["IdentityBlock", "PositiveBlock", "SimplexBlock", "BlockTransform"]
-
-
-def _float_if_one(value):
-    """A float for one point's log-Jacobian, the (R,) array for a batch."""
-    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,7 @@ class IdentityBlock:
         return np.asarray(theta, dtype=np.float64)
 
     def log_jacobian(self, z):
-        return _float_if_one(np.zeros(np.shape(z)[:-1]))
+        return np.zeros(np.shape(z)[:-1])[()]  # [()] makes one point's 0-d a scalar
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,7 @@ class PositiveBlock:
         return np.log(theta)
 
     def log_jacobian(self, z):
-        return _float_if_one(np.add.reduce(z, axis=-1))
+        return np.add.reduce(z, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -135,9 +131,9 @@ class SimplexBlock:
         log_stick = np.zeros(a.shape)  # log of the stick before each break
         np.add.accumulate(-minus_log_rest[..., :-1], axis=-1, out=log_stick[..., 1:])
         terms = log_stick - np.logaddexp(0.0, -a) - minus_log_rest
-        # The running total adds the terms left to right; np.sum would add
-        # nine or more of them pairwise.
-        return _float_if_one(np.add.accumulate(terms, axis=-1)[..., -1])
+        # The running total adds the terms left to right (np.sum would add nine
+        # or more of them pairwise); .T[-1] is its end for a point or a batch.
+        return np.add.accumulate(terms, axis=-1).T[-1]
 
 
 @dataclass(frozen=True)
@@ -183,5 +179,6 @@ class BlockTransform:
         z = np.asarray(z, dtype=np.float64)
         total = np.zeros(z.shape[:-1])
         for b, zs, _ in self._layout:
-            total += b.log_jacobian(z[..., zs])
-        return _float_if_one(total)
+            # Not +=: for one point that would keep total a 0-d array.
+            total = total + b.log_jacobian(z[..., zs])
+        return total

@@ -84,6 +84,31 @@ class TestParseArgs:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--model", "toy-gamma", "--synthetic", "0"],
+            ["fit", "--model", "voting-base", "--synthetic", "0"],
+            ["fit", "--model", "toy-gamma", "--synthetic", "-3"],
+            ["fit", "--model", "presidents-nb2", "--synthetic", "0"],
+            ["check-lemma", "--model", "voting-base", "--synthetic", "x"],
+            ["report", "--input", "summary.csv", "--top-k", "-8"],
+            ["compute", "--input", "m.csv", "--top-k", "0"],
+            ["fit", "--model", "toy-gamma", "--top-k", "-1"],
+            ["check-lemma", "--model", "toy-gamma", "--top-k", "-2"],
+        ],
+    )
+    def test_counts_must_be_positive(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_sampler_defaults_are_the_sampler_configs(self, tmp_path):
+        for command in ("fit", "check-lemma"):
+            cfg = parse_args([command, "--model", "voting-base", "--out", str(tmp_path)])
+            assert cfg.sampler_config() == pk.SamplerConfig()
+
 
 class TestReadLoglikCsv:
     def test_basic_and_trailing_blank(self, tmp_path):
@@ -207,6 +232,16 @@ class TestComputeCommand:
         assert run["group_means"]["east"]["count"] == 1
         assert run["group_means"]["west"]["count"] == 1
 
+    def test_missing_group_label_writes_no_summary(self, matrix_file, tmp_path, capsys):
+        g = tmp_path / "groups.csv"
+        g.write_text("id,label\na,east\n")
+        out = tmp_path / "res"
+        argv = ["compute", "--input", str(matrix_file), "--groups", str(g)]
+        rc = main(argv + ["--formats", "csv,ndjson,svg", "--out", str(out)])
+        assert rc == 3
+        assert "'b' has no group label" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_degenerate_entries_need_opt_in(self, tmp_path, capsys):
         p = tmp_path / "m.csv"
         p.write_text("a\n-inf\n-2.0\n")
@@ -248,6 +283,12 @@ class TestFitCommand:
         assert run["sampler"] == "conjugate-exact"
         assert run["seed"] == 3
         assert len(reportio.read_summary_csv(out / "summary.csv")) == 10
+
+    def test_toy_synthetic_size_is_used(self, tmp_path):
+        out = tmp_path / "syn"
+        assert main(["fit", "--model", "toy-gamma", "--synthetic", "3", "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["n"] == 3
+        assert len(reportio.read_summary_csv(out / "summary.csv")) == 3
 
     def test_presidents_row_count(self, tmp_path):
         out = tmp_path / "pres"

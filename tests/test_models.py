@@ -544,7 +544,11 @@ BUILT_IN_MODELS = _built_in_models()
 
 
 class TestBatchedTarget:
-    """Each row of an (R, P) batch gets the bits of the same theta passed alone."""
+    """Each row of an (R, P) batch gets the bits of the same theta passed alone.
+
+    The (P,) theta and the batch run the same lines over the last axis, but
+    are two separate evaluations, so the bitwise checks compare real work.
+    """
 
     @given(st.sampled_from(sorted(BUILT_IN_MODELS)), st.integers(1, 12), st.data())
     @settings(max_examples=80, deadline=None)
@@ -566,6 +570,6 @@ class TestBatchedTarget:
             one = tf.constrain(z[r])
             assert same_bits(theta[r], one)
             singles = [tf.log_jacobian(z[r]), model.log_prior(one), model.log_joint(one)]
-            assert all(type(v) is float for v in singles)
+            assert all(isinstance(v, float) for v in singles)  # np.float64 is a float
             assert same_bits([log_jac[r], prior[r], joint[r]], singles)
             assert same_bits(pointwise[r], model.pointwise_row(one))

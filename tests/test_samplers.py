@@ -120,6 +120,17 @@ class TestTransforms:
         ]
         assert tf.log_jacobian(z) == pytest.approx(sum(parts), rel=1e-14)
 
+    def test_one_point_gives_a_point_and_a_float(self):
+        blocks = [IdentityBlock(2), PositiveBlock(2), SimplexBlock(3)]
+        tf = BlockTransform(blocks)
+        z = np.array([0.3, -1.0, 0.5, 2.0, -0.4, 0.7])
+        theta = tf.constrain(z)
+        assert type(theta) is np.ndarray and theta.shape == (7,)
+        for transform, point in [(tf, z), *zip(blocks, (z[:2], z[2:4], z[4:]))]:
+            log_jac = transform.log_jacobian(point)
+            assert isinstance(log_jac, float) and np.ndim(log_jac) == 0
+        assert tf.log_jacobian(z) == pytest.approx(2.5 + SimplexBlock(3).log_jacobian(z[4:]))
+
     @given(st.integers(2, 6), st.integers(1, 12), st.data())
     @settings(max_examples=60)
     def test_batch_rows_equal_single_points(self, k, rows, data):
