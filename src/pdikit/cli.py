@@ -191,6 +191,10 @@ def parse_args(argv) -> RunConfig:
             parser.error("--group-by applies to voting models only")
         if cfg.group_by in ("age", "edu") and cfg.model != f"voting-{cfg.group_by}":
             parser.error(f"--group-by {cfg.group_by} needs --model voting-{cfg.group_by}")
+        try:  # every model, though the conjugate toy uses only draws and seed
+            cfg.sampler_config()
+        except ValueError as exc:
+            parser.error(str(exc))
     return cfg
 
 
@@ -325,13 +329,11 @@ def _write_outputs(
 def _cmd_compute(cfg: RunConfig) -> int:
     matrix = reportio.read_loglik_csv(cfg.input, allow_degenerate=cfg.allow_degenerate)
     labels = reportio.read_group_labels_csv(cfg.groups) if cfg.groups else None
-    report = rank_report(summarize(matrix), matrix.datapoint_ids, labels)
-    _write_outputs(
-        Path(cfg.out),
-        report,
-        cfg,
-        {"input": str(cfg.input), "draws": matrix.draw_count, "n": matrix.point_count},
-    )
+    ids = matrix.datapoint_ids
+    meta = {"input": str(cfg.input), "draws": matrix.draw_count, "n": matrix.point_count}
+    summaries = summarize(matrix)
+    del matrix  # ranking and the writers run without the S x N array
+    _write_outputs(Path(cfg.out), rank_report(summaries, ids, labels), cfg, meta)
     return 0
 
 

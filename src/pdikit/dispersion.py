@@ -70,6 +70,10 @@ class LogLikMatrix:
     pass ``allow_degenerate=True`` to keep columns containing -inf (zero
     likelihood under some draw), which are then summarized with flags instead
     of aborting.
+
+    ``values`` is read-only. The constructor copies it, so the caller's array
+    stays writeable; ``read_loglik_csv`` and ``loglik_matrix`` hand over a
+    fresh array through ``_adopt``, which freezes it without a copy.
     """
 
     values: np.ndarray
@@ -77,7 +81,15 @@ class LogLikMatrix:
     allow_degenerate: bool = False
 
     def __init__(self, values, datapoint_ids=None, allow_degenerate=False):
-        values = np.asarray(values, dtype=np.float64)
+        self._take(np.array(values, dtype=np.float64, order="C"), datapoint_ids, allow_degenerate)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, datapoint_ids=None, allow_degenerate=False):
+        """The matrix over ``values`` itself: a float64 array the caller gives up."""
+        return cls.__new__(cls)._take(values, datapoint_ids, allow_degenerate)
+
+    def _take(self, values: np.ndarray, datapoint_ids, allow_degenerate) -> LogLikMatrix:
+        """Validate, then freeze ``values`` in place as this matrix's own."""
         if values.ndim != 2:
             raise ValueError("log-likelihood matrix must be 2-D (draws x datapoints)")
         n_draws, n_points = values.shape
@@ -106,11 +118,11 @@ class LogLikMatrix:
                 raise ValueError(
                     f"{len(datapoint_ids)} datapoint ids for {n_points} columns"
                 )
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "datapoint_ids", datapoint_ids)
         object.__setattr__(self, "allow_degenerate", bool(allow_degenerate))
+        return self
 
     @property
     def draw_count(self) -> int:

@@ -10,8 +10,11 @@ reproduces every bit. JSON outputs are strict: non-finite floats are null.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -67,52 +70,67 @@ def _parse_float(path: Path, cell: str, line_no: int, col_no: int) -> float:
         ) from None
 
 
-def _data_lines(path: Path) -> list[tuple[int, str]]:
-    """(file line number, line) for every line that is not blank or a ``#`` comment."""
+def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(file line number, line) for every line that is not blank or a ``#`` comment.
+
+    Streamed from the open file; each physical line is split again with
+    ``str.splitlines``, so lines are numbered as ``read_text().splitlines()``
+    numbers them (breaking at ``\\f``, U+2028, ...).
+    """
     if not path.exists():
         raise InputFormatError(f"no such file: {path}")
-    return [
-        (i, line)
-        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if line.strip() and not line.startswith("#")
-    ]
+    with open(path, encoding="utf-8") as fh:
+        try:
+            pieces = (piece for physical in fh for piece in physical.splitlines())
+            for i, line in enumerate(pieces, 1):
+                if line.strip() and not line.startswith("#"):
+                    yield i, line
+        except UnicodeDecodeError:
+            path.read_bytes().decode("utf-8")  # raises it at the whole-file byte offset
+            raise
 
 
 def _parse_matrix(path: Path) -> tuple[list[str], np.ndarray]:
     """Header ids and the S x N draw values of a matrix CSV; see ``read_loglik_csv``.
 
-    The file's lines, as large as the file, are freed when this returns,
-    before ``LogLikMatrix`` copies the values.
+    The draw lines stream from the file into ``np.loadtxt``, so about one
+    line of text is alive next to the values. The re-scan reads the file
+    again.
     """
-    rows = _data_lines(path)
-    if not rows:
-        raise InputFormatError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0][1].split(",")]
-    n_cols, draws = len(header), rows[1:]
-    if len(draws) >= 2:
-        try:
-            values = np.loadtxt(
-                [line for _, line in draws],
-                delimiter=",",
-                comments=None,
-                ndmin=2,
-                dtype=np.float64,
-            )
-        except ValueError:
-            pass
-        else:
-            if values.shape == (len(draws), n_cols):
-                return header, values
+    with contextlib.closing(_data_lines(path)) as rows:
+        first = next(rows, None)
+        if first is None:
+            raise InputFormatError(f"{path}: empty file")
+        header = [c.strip() for c in first[1].split(",")]
+        n_cols = len(header)
+        peeked = list(itertools.islice(rows, 2))
+        if len(peeked) == 2:
+            fed = 0  # draw lines handed to loadtxt
+
+            def draw_lines():
+                nonlocal fed
+                for fed, (_, line) in enumerate(itertools.chain(peeked, rows), 1):
+                    yield line
+
+            try:
+                values = np.loadtxt(draw_lines(), delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if values.shape == (fed, n_cols):
+                    return header, values
     scanned = []
-    for line_no, line in draws:
-        cells = line.split(",")
-        if len(cells) != n_cols:
-            raise InputFormatError(
-                f"{path}: line {line_no} has {len(cells)} values, expected {n_cols}"
+    with contextlib.closing(_data_lines(path)) as rows:
+        next(rows)  # the header
+        for line_no, line in rows:
+            cells = line.split(",")
+            if len(cells) != n_cols:
+                raise InputFormatError(
+                    f"{path}: line {line_no} has {len(cells)} values, expected {n_cols}"
+                )
+            scanned.append(
+                [_parse_float(path, c.strip(), line_no, j) for j, c in enumerate(cells, 1)]
             )
-        scanned.append(
-            [_parse_float(path, c.strip(), line_no, j) for j, c in enumerate(cells, 1)]
-        )
     return header, np.array(scanned, dtype=np.float64)
 
 
@@ -124,15 +142,18 @@ def read_loglik_csv(path, allow_degenerate: bool = False) -> LogLikMatrix:
     are; a cell is any literal Python's ``float()`` accepts. Ragged rows and
     non-numeric cells are rejected with their file line and column.
 
-    The draw rows go to one ``np.loadtxt`` call, which parses ASCII cells
-    with the same C routine as ``float()`` and so gives the same bits, in a
-    fraction of the time and memory of a per-cell loop. ``loadtxt`` rejects
-    some literals that ``float()`` accepts (``1_0``, non-ASCII digits) and
-    does not say where a bad cell is in the file, so when it fails or
-    returns the wrong shape the rows are re-scanned cell by cell: the
-    re-scan either raises the positioned error or returns the values
-    ``loadtxt`` declined. Fewer than two draws skip ``loadtxt``, so the
-    draw-count check reports them as before.
+    The draw rows stream from the file into one ``np.loadtxt`` call, which
+    parses ASCII cells with the same C routine as ``float()`` and so gives
+    the same bits, in a fraction of the time and memory of a per-cell loop.
+    ``loadtxt`` rejects some literals that ``float()`` accepts (``1_0``,
+    non-ASCII digits) and does not say where a bad cell is in the file, so
+    when it fails or returns the wrong shape the file is re-scanned cell by
+    cell: the re-scan either raises the positioned error or returns the
+    values ``loadtxt`` declined. Fewer than two draws skip ``loadtxt``, so
+    the draw-count check reports them as before.
+
+    The parsed array is fresh, so the matrix adopts it: it is frozen in
+    place, not copied (``LogLikMatrix(values)`` itself copies).
     """
     path = Path(path)
     header, values = _parse_matrix(path)
@@ -141,7 +162,7 @@ def read_loglik_csv(path, allow_degenerate: bool = False) -> LogLikMatrix:
             f"{path}: need at least 2 posterior draws, found {len(values)}"
         )
     try:
-        return LogLikMatrix(values, header, allow_degenerate=allow_degenerate)
+        return LogLikMatrix._adopt(values, header, allow_degenerate)
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
 
@@ -196,7 +217,7 @@ def write_summary_csv(path, report: MismatchReport, seed: int) -> None:
 def read_summary_csv(path) -> list[dict]:
     """Read back a summary table as a list of per-row dicts."""
     path = Path(path)
-    rows = _data_lines(path)
+    rows = list(_data_lines(path))
     if not rows:
         raise InputFormatError(f"{path}: empty summary file")
     header = rows[0][1].split(",")
@@ -326,7 +347,7 @@ def write_wapdi_svg(path, report: MismatchReport, seed: int, top_k: int | None =
 def read_group_labels_csv(path) -> dict[str, str]:
     """Two-column id,label file mapping datapoints to groups."""
     path = Path(path)
-    rows = _data_lines(path)
+    rows = list(_data_lines(path))
     out: dict[str, str] = {}
     start = 1 if rows and rows[0][1].lower().replace(" ", "") == "id,label" else 0
     for line_no, line in rows[start:]:
@@ -376,7 +397,7 @@ def read_votes_csv(path) -> VoteTable:
     from .models import VoteTable
 
     path = Path(path)
-    rows = _data_lines(path)
+    rows = list(_data_lines(path))
     if len(rows) < 2:
         raise InputFormatError(f"{path}: need a header and at least one row")
     header = [c.strip().lower() for c in rows[0][1].split(",")]

@@ -257,7 +257,7 @@ def loglik_matrix(model: ModelSpec, draws: PosteriorDraws) -> LogLikMatrix:
     """Evaluate the pointwise log-likelihood at every draw: entry (s, n).
 
     Draws go to ``pointwise_row`` in batches of about ``LOGLIK_BLOCK_CELLS``
-    cells.
+    cells. The matrix adopts the array filled here, without a copy.
     """
     n = model.data_count
     values = np.empty((draws.draws.shape[0], n))
@@ -269,7 +269,7 @@ def loglik_matrix(model: ModelSpec, draws: PosteriorDraws) -> LogLikMatrix:
     if np.isnan(values.min()):  # min propagates NaN without a full-size mask
         s, n = np.argwhere(np.isnan(values))[0].tolist()
         raise SamplerError(f"NaN pointwise log-likelihood at draw {s}, datapoint {n}")
-    return LogLikMatrix(values, model.datapoint_ids)
+    return LogLikMatrix._adopt(values, model.datapoint_ids)
 
 
 def conjugate_gamma_posterior(

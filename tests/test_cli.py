@@ -109,6 +109,28 @@ class TestParseArgs:
             cfg = parse_args([command, "--model", "voting-base", "--out", str(tmp_path)])
             assert cfg.sampler_config() == pk.SamplerConfig()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["fit", "--model", "toy-gamma", "--thin", "0", "--warmup", "-5", "--step", "-1"],
+                "warmup_steps must be >= 0",
+            ),
+            (
+                ["fit", "--model", "voting-base", "--synthetic", "50", "--thin", "0"],
+                "thinning must be >= 1",
+            ),
+            (["check-lemma", "--model", "toy-gamma", "--draws", "1"], "kept_draws must be >= 2"),
+        ],
+    )
+    def test_bad_sampler_flag_exits_2_for_every_model(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"pdikit: error: {message}\n")
+        assert not out.exists()
+
 
 class TestReadLoglikCsv:
     def test_basic_and_trailing_blank(self, tmp_path):

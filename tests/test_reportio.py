@@ -1,6 +1,7 @@
 """Readers and strict JSON writers in ``pdikit.reportio``."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,13 +54,35 @@ def write(tmp_path, lines):
     return p
 
 
+# Every line break str.splitlines knows; iterating a text file knows the first three.
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def splitlines_oracle(path):
+    """``_data_lines`` of a file, as a whole-file ``splitlines`` numbers it."""
+    text = path.read_text(encoding="utf-8")
+    return [
+        (i, line)
+        for i, line in enumerate(text.splitlines(), 1)
+        if line.strip() and not line.startswith("#")
+    ]
+
+
+def read_bits(path):
+    """The bits of the matrix a file reads as, or its error without the path."""
+    try:
+        return reportio.read_loglik_csv(path, allow_degenerate=True).values.view(np.uint64)
+    except reportio.InputFormatError as exc:
+        return str(exc).removeprefix(f"{path}: ")
+
+
 class TestMatrixReaderContract:
     @given(matrix_files())
     @settings(max_examples=300)
     def test_cells_parse_bitwise_like_float(self, tmp_path_factory, case):
         lines, cells, line_nos = case
         path = write(tmp_path_factory.mktemp("m"), lines)
-        assert [no for no, _ in reportio._data_lines(path)[1:]] == line_nos
+        assert [no for no, _ in list(reportio._data_lines(path))[1:]] == line_nos
         header, got = reportio._parse_matrix(path)
         assert header == [f"c{j}" for j in range(len(cells[0]))]
         want = oracle(cells)
@@ -82,6 +105,43 @@ class TestMatrixReaderContract:
             got = reportio.read_loglik_csv(path, allow_degenerate=True)
             assert got.datapoint_ids == want.datapoint_ids
             assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+    @given(matrix_files(), st.data())
+    @settings(max_examples=200)
+    def test_lines_break_and_count_like_splitlines(self, tmp_path_factory, case, data):
+        lines = case[0]
+        n = len(lines)
+        breaks = data.draw(st.lists(st.sampled_from(BREAKS), min_size=n, max_size=n))
+        tmp = tmp_path_factory.mktemp("m")
+        path = tmp / "breaks.csv"
+        path.write_text("".join(map(str.__add__, lines, breaks)), encoding="utf-8", newline="")
+        assert list(reportio._data_lines(path)) == splitlines_oracle(path)
+        got, want = read_bits(path), read_bits(write(tmp, lines))
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    def test_crlf_matrix_across_read_chunks(self, tmp_path):
+        values = np.random.default_rng(4).normal(-3.0, 2.0, size=(60, 150))
+        # The comment line's CR is byte 8191 and its LF byte 8192, so the
+        # CRLF straddles a read boundary; the rows' breaks fall anywhere.
+        lines = ["#" + "x" * 8190, ",".join(f"c{j}" for j in range(150))]
+        lines += [",".join(map(repr, row)) for row in values.tolist()]
+        path = tmp_path / "crlf.csv"
+        path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+        assert path.stat().st_size > 64 * 1024
+        assert list(reportio._data_lines(path)) == splitlines_oracle(path)
+        assert np.array_equal(read_bits(path), values.view(np.uint64))
+
+    def test_bad_utf8_names_its_whole_file_offset(self, tmp_path):
+        head = b"a,b\n" + b"-1.0,-2.0\n" * 2000  # past the first read of the file
+        path = tmp_path / "m.csv"
+        path.write_bytes(head + b"-1.0,-2\xff\n")
+        with pytest.raises(UnicodeDecodeError) as err:
+            reportio.read_loglik_csv(path)
+        assert err.value.start == len(head) + 7
 
     def test_float_only_literals_take_the_rescan(self, tmp_path):
         path = write(tmp_path, ["a,b,c", "1_0,１,\t-2.5 ", "-1.0,-2.0,-3.0"])
@@ -145,6 +205,33 @@ class TestMatrixReaderContract:
         with pytest.raises(reportio.InputFormatError) as err:
             reportio.read_loglik_csv(path)
         assert str(err.value) == f"{path}: {message}"
+
+
+class TestMemoryAndOwnership:
+    """The reader holds about one S x N array, and the matrix adopts it."""
+
+    def test_read_peak_is_at_most_twice_the_matrix(self, tmp_path):
+        values = np.random.default_rng(5).normal(-3.0, 2.0, size=(400, 3000))
+        path = tmp_path / "m.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(f"c{j}" for j in range(3000)) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in values.tolist())
+        tracemalloc.start()
+        try:
+            m = reportio.read_loglik_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(m.values.view(np.uint64), values.view(np.uint64))
+        assert peak <= 2 * m.values.nbytes
+        assert not m.values.flags.writeable
+
+    def test_constructor_copies_and_freezes_the_copy(self):
+        a = np.asfortranarray(np.random.default_rng(6).normal(size=(4, 3)))
+        m = pk.LogLikMatrix(a)
+        assert a.flags.writeable and not m.values.flags.writeable
+        assert not np.shares_memory(m.values, a)
+        assert m.values.flags.c_contiguous and np.array_equal(m.values, a)
 
 
 class TestReaderLineNumbers:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -552,6 +553,24 @@ class TestLogLikMatrixFromDraws:
         want = np.array([model.pointwise_row(theta) for theta in draws.draws])
         assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
         assert calls == [13, 13, 13, 1]  # 2^12 cells per batch at N = 300
+
+    def test_matrix_adopts_the_values_it_fills(self):
+        from pdikit import models
+
+        table, _ = models.simulate_votes(4000, seed=0, variant="base")
+        model = models.hier_logreg_model(table, "base")
+        rng = np.random.default_rng(7)
+        z = model.transform.unconstrain(model.prior_mean) + rng.normal(size=(250, model.dim))
+        draws = pk.posterior_draws_from(model.transform.constrain(z), 0.5, 0)
+        tracemalloc.start()
+        try:
+            mat = pk.loglik_matrix(model, draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat.values.shape == (250, 4000)
+        assert peak <= 1.5 * mat.values.nbytes
+        assert not mat.values.flags.writeable
 
     def test_entries_and_row_sums(self):
         from pdikit.models import gamma_toy_model, simulate_toy_data
