@@ -86,7 +86,9 @@ def _add_output_args(p: argparse.ArgumentParser, formats: bool = True) -> None:
             default="csv",
             help=f"comma-separated subset of {','.join(FORMATS)} (default csv)",
         )
-    p.add_argument("--top-k", type=_positive_int, default=None, help="truncate ranked outputs")
+    p.add_argument(
+        "--top-k", type=_positive_int, help="rows of wapdi.svg (compute, fit) or lemma.csv"
+    )
 
 
 def _add_sampler_args(p: argparse.ArgumentParser) -> None:
@@ -159,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="print the worst datapoints of a summary")
     p.add_argument("--input", required=True, help="summary.csv from compute/fit")
-    p.add_argument("--top-k", type=_positive_int, default=10)
+    p.add_argument("--top-k", type=_positive_int, default=10, help="rows to print")
     p.add_argument("--out", default=None, help="also write report.csv here")
 
     p = sub.add_parser("check-lemma", help="exact vs Taylor-approximate WAPDI")

@@ -75,7 +75,8 @@ def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
 
     Streamed from the open file; each physical line is split again with
     ``str.splitlines``, so lines are numbered as ``read_text().splitlines()``
-    numbers them (breaking at ``\\f``, U+2028, ...).
+    numbers them (breaking at ``\\f``, U+2028, ...). A byte that is not
+    UTF-8 raises an ``InputFormatError`` with its line and whole-file offset.
     """
     if not path.exists():
         raise InputFormatError(f"no such file: {path}")
@@ -86,7 +87,14 @@ def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
                 if line.strip() and not line.startswith("#"):
                     yield i, line
         except UnicodeDecodeError:
-            path.read_bytes().decode("utf-8")  # raises it at the whole-file byte offset
+            data = path.read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:  # at the whole-file byte offset
+                line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+                raise InputFormatError(
+                    f"{path}: line {line_no}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+                ) from None
             raise
 
 
@@ -265,30 +273,10 @@ def _strict_json(obj, **kwargs) -> str:
         return json.dumps(_finite_or_null(obj), allow_nan=False, **kwargs)
 
 
-# A summary record's ndjson line, keys sorted as json.dumps(sort_keys=True)
-# writes them: the flags and the id as JSON text, then nine numbers.
-_NDJSON_NUMBERS = sorted(SUMMARY_COLUMNS[1:10])
-_NDJSON_LINE = (
-    '{{"flags": {}, "id": {}, ' + ", ".join(f'"{k}": {{}}' for k in _NDJSON_NUMBERS) + "}}"
-)
-
-
-def _ndjson_line(record: dict) -> str:
-    """``_strict_json(record, sort_keys=True)`` for a summary record.
-
-    Numbers are written as json.dumps writes a Python float or int: by repr,
-    with ``null`` for a non-finite float.
-    """
-    numbers = (record[k] for k in _NDJSON_NUMBERS)
-    text = [repr(v) if math.isfinite(v) else "null" for v in numbers]
-    flags = json.dumps(record["flags"]) if record["flags"] else "[]"
-    return _NDJSON_LINE.format(flags, json.dumps(record["id"]), *text)
-
-
 def write_summary_ndjson(path, report: MismatchReport, seed: int) -> None:
     header = {"pdikit": __version__, "seed": seed, "waic": report.waic}
     lines = [_strict_json(header, sort_keys=True)]
-    lines += [_ndjson_line(_summary_record(row)) for row in report.rows]
+    lines += [_strict_json(_summary_record(row), sort_keys=True) for row in report.rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -299,18 +287,14 @@ def write_run_json(path, payload: dict) -> None:
     )
 
 
-def _svg_escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
-
-
 def write_wapdi_svg(path, report: MismatchReport, seed: int, top_k: int | None = None) -> None:
     """Self-contained horizontal bar chart of WAPDI, most negative at top.
 
     Presentation only: values come straight from the report. Flagged (NaN)
     rows are skipped.
     """
+    import html  # only here, so that importing the CLI does not pay for it
+
     rows = [r for r in report.rows if not np.isnan(r.summary.wapdi)]
     if top_k is not None:
         rows = rows[:top_k]
@@ -329,7 +313,7 @@ def write_wapdi_svg(path, report: MismatchReport, seed: int, top_k: int | None =
         w = abs(row.summary.wapdi) / max_mag * chart_w
         parts.append(
             f'<text x="{label_w - 6}" y="{y + bar_h - 3}" text-anchor="end">'
-            f"{_svg_escape(row.datapoint_id)}</text>"
+            f"{html.escape(row.datapoint_id, quote=False)}</text>"
         )
         parts.append(
             f'<rect x="{label_w}" y="{y}" width="{w:.2f}" height="{bar_h}" '

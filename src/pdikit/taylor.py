@@ -9,7 +9,8 @@ magnitude, which is exactly what the exact index responds to.
 
 Gradients come from central finite differences so models only need to expose
 likelihood evaluations; the D points stepped up and the D stepped down go to
-the model as two batches.
+the model as two batches. The estimate of every datapoint is one array
+expression over the N x D Jacobian, and one datapoint is its one-row case.
 """
 
 from __future__ import annotations
@@ -80,6 +81,18 @@ def pointwise_gradient(model: ModelSpec, n: int, theta) -> np.ndarray:
     return _jacobian(model, theta)[n].copy()
 
 
+def _taylor(jac, posterior_var, log_mu) -> np.ndarray:
+    """First-order WAPDI of every row of a Jacobian: sum_d g_d^2 v_d / log mu.
+
+    Exactly 0 where a gradient vanishes; NaN where a row of the gradient is
+    not finite or |log mu| < NEAR_SINGULAR_EPS. One row gives a 0-d array.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = np.sum(jac * jac * posterior_var, axis=-1) / log_mu
+        singular = (np.abs(log_mu) < NEAR_SINGULAR_EPS) | ~np.isfinite(jac).all(axis=-1)
+        return np.where(singular, np.nan, value)
+
+
 def wapdi_taylor(
     model: ModelSpec,
     n: int,
@@ -87,20 +100,9 @@ def wapdi_taylor(
     posterior_var,
     log_mu_n: float,
 ) -> float:
-    """First-order WAPDI estimate: sum_d g_d^2 v_d / log mu(n).
-
-    Exactly 0 when the gradient vanishes; NaN when the gradient is non-finite
-    or |log mu(n)| < NEAR_SINGULAR_EPS.
-    """
+    """First-order WAPDI estimate of one datapoint; see ``_taylor``."""
     g = pointwise_gradient(model, n, posterior_mean)
-    return _taylor_from_gradient(g, posterior_var, log_mu_n)
-
-
-def _taylor_from_gradient(g, posterior_var, log_mu_n):
-    if abs(log_mu_n) < NEAR_SINGULAR_EPS or not np.all(np.isfinite(g)):
-        return float("nan")
-    v = np.asarray(posterior_var, dtype=np.float64)
-    return float(np.sum(g * g * v)) / log_mu_n
+    return float(_taylor(g, posterior_var, log_mu_n))
 
 
 def compare_exact_vs_taylor(
@@ -111,8 +113,9 @@ def compare_exact_vs_taylor(
     """Pair the exact WAPDI of every datapoint with its Taylor estimate.
 
     The matrix must hold pointwise log-likelihoods of this model at these
-    draws. Flagged (NaN) entries are carried through, and rows come back
-    sorted by absolute error, worst approximation first.
+    draws. Flagged (NaN) entries are carried through. Rows come back with
+    the largest absolute error first, ties in matrix order, and NaN errors
+    last in matrix order.
     """
     if matrix.point_count != model.data_count:
         raise ValueError(
@@ -121,31 +124,16 @@ def compare_exact_vs_taylor(
         )
     summaries = summarize(matrix)
     jac = _jacobian(model, draws.posterior_mean)
-    rows = []
-    for n, summary in enumerate(summaries):
-        g = jac[n].copy()
-        approx = _taylor_from_gradient(g, draws.posterior_var, summary.log_mu)
-        exact = summary.wapdi
-        rows.append(
-            TaylorRow(
-                datapoint_id=matrix.datapoint_ids[n],
-                wapdi_exact=exact,
-                wapdi_taylor=approx,
-                abs_error=abs(exact - approx),
-                gradient=g,
-            )
-        )
-    # NaN errors sort last; ties keep matrix order via the index key.
-    order = sorted(
-        range(len(rows)),
-        key=lambda i: (
-            not np.isnan(rows[i].abs_error),
-            0.0 if np.isnan(rows[i].abs_error) else rows[i].abs_error,
-        ),
-        reverse=True,
-    )
+    exact = np.array([s.wapdi for s in summaries])
+    approx = _taylor(jac, draws.posterior_var, [s.log_mu for s in summaries])
+    with np.errstate(invalid="ignore"):
+        error = np.abs(exact - approx)
+    # The sort is stable and puts NaN last, so ties and NaN errors keep matrix order.
+    order = np.argsort(-error, kind="stable")
+    ids = matrix.datapoint_ids
+    columns = (order.tolist(), exact[order].tolist(), approx[order].tolist(), error[order].tolist())
     return TaylorReport(
-        rows=tuple(rows[i] for i in order),
+        rows=tuple(TaylorRow(ids[i], e, a, d, jac[i].copy()) for i, e, a, d in zip(*columns)),
         posterior_mean=draws.posterior_mean,
         posterior_var=draws.posterior_var,
     )

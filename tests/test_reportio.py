@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdikit as pk
@@ -139,9 +139,36 @@ class TestMatrixReaderContract:
         head = b"a,b\n" + b"-1.0,-2.0\n" * 2000  # past the first read of the file
         path = tmp_path / "m.csv"
         path.write_bytes(head + b"-1.0,-2\xff\n")
-        with pytest.raises(UnicodeDecodeError) as err:
+        with pytest.raises(reportio.InputFormatError) as err:
             reportio.read_loglik_csv(path)
-        assert err.value.start == len(head) + 7
+        assert str(err.value) == (
+            f"{path}: line 2002: not valid UTF-8 (invalid start byte at byte {len(head) + 7})"
+        )
+
+    def test_bad_utf8_line_counts_like_splitlines(self, tmp_path):
+        path = tmp_path / "m.csv"
+        head = "a,b\r\n-1.0,-2.0\u2028-1.5,-2.5\n".encode()
+        path.write_bytes(head + b"-3\xff\n")
+        with pytest.raises(reportio.InputFormatError) as err:
+            reportio.read_loglik_csv(path)
+        assert str(err.value) == (
+            f"{path}: line 4: not valid UTF-8 (invalid start byte at byte {len(head) + 2})"
+        )
+
+    @pytest.mark.parametrize("bad", ["input", "groups"])
+    def test_bad_utf8_cli_error_names_file_and_line(self, tmp_path, capsys, bad):
+        files = {"input": tmp_path / "m.csv", "groups": tmp_path / "g.csv"}
+        lead = dict.fromkeys(files, b"")
+        lead[bad] = b"\xff"  # starts line 3 of that file
+        files["input"].write_bytes(b"a,b\n-1.0,-2.0\n" + lead["input"] + b"-1.1,-2.5\n-1.2,-2.2\n")
+        files["groups"].write_bytes(b"id,label\na,g1\n" + lead["groups"] + b"b,g2\n")
+        out = tmp_path / "out"
+        argv = ["compute", "--input", str(files["input"]), "--groups", str(files["groups"])]
+        assert main(argv + ["--out", str(out), "--formats", "csv,ndjson,svg"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"pdikit: error: {files[bad]}: line 3: not valid UTF-8 (")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_float_only_literals_take_the_rescan(self, tmp_path):
         path = write(tmp_path, ["a,b,c", "1_0,１,\t-2.5 ", "-1.0,-2.0,-3.0"])
@@ -352,38 +379,7 @@ def test_summary_csv_round_trip_is_bitwise(tmp_path_factory, case, seed):
         assert rec["flags"] == s.flags
 
 
-ndjson_float = st.floats(allow_nan=True, allow_infinity=True)
-
-
-@st.composite
-def summary_records(draw):
-    """Summary records as ``write_summary_ndjson`` builds them."""
-    record = {"id": draw(safe_id)}
-    record.update((c, draw(ndjson_float)) for c in reportio.SUMMARY_COLUMNS[1:8])
-    record["rank_wapdi"] = draw(st.integers(1, 10**9))
-    record["rank_logpred"] = draw(st.integers(1, 10**9))
-    flags = st.sampled_from(["nonfinite_loglik", "zero_variance", "near_singular_log_mu"])
-    record["flags"] = draw(st.lists(flags, unique=True))
-    return record
-
-
-class TestNdjsonTemplate:
-    @given(summary_records())
-    @settings(max_examples=300)
-    @example(
-        {
-            "id": "é\\t\u2603\\",
-            **dict.fromkeys(reportio.SUMMARY_COLUMNS[1:4], float("nan")),
-            **dict.fromkeys(reportio.SUMMARY_COLUMNS[4:6], float("-inf")),
-            **dict.fromkeys(reportio.SUMMARY_COLUMNS[6:8], float("inf")),
-            "rank_wapdi": 1,
-            "rank_logpred": 2,
-            "flags": ["nonfinite_loglik", "zero_variance"],
-        }
-    )
-    def test_line_equals_strict_json_dumps(self, record):
-        assert reportio._ndjson_line(record) == reportio._strict_json(record, sort_keys=True)
-
+class TestNdjsonWriter:
     @given(degenerate_matrices(), st.integers(0, 2**32))
     @settings(max_examples=50)
     def test_written_lines_equal_strict_json_dumps(self, tmp_path_factory, case, seed):

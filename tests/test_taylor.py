@@ -189,3 +189,42 @@ class TestCompareReport:
         mat = pk.loglik_matrix(other, draws)
         with pytest.raises(ValueError):
             compare_exact_vs_taylor(model, draws, mat)
+
+
+def tied_and_singular_model():
+    """Datapoints a and b tie bitwise; z is 0 at every draw, so its error is NaN."""
+
+    def pointwise_row(th):
+        t = np.asarray(th)[..., 0]
+        tied = -0.5 * t * t - 1.0
+        return np.stack([tied, 0.0 * t, tied, -2.0 * t * t - 1.0], axis=-1)
+
+    return pk.ModelSpec(
+        name="ties",
+        transform=BlockTransform([IdentityBlock(1)]),
+        log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
+        log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
+        pointwise_row=pointwise_row,
+        data_count=4,
+        datapoint_ids=("a", "z", "b", "c"),
+        prior_mean=np.zeros(1),
+    )
+
+
+def test_table_order_ties_and_nan_and_one_row_case():
+    model = tied_and_singular_model()
+    theta = np.random.default_rng(3).normal(0.4, 0.3, size=(200, 1))
+    draws = pk.posterior_draws_from(theta, 1.0, 0)
+    mat = pk.loglik_matrix(model, draws)
+    rep = compare_exact_vs_taylor(model, draws, mat)
+    by_id = {r.datapoint_id: r for r in rep.rows}
+    assert by_id["a"].abs_error == by_id["b"].abs_error
+    assert by_id["c"].abs_error > by_id["a"].abs_error
+    assert math.isnan(by_id["z"].abs_error)
+    assert [r.datapoint_id for r in rep.rows] == ["c", "a", "b", "z"]
+    log_mu = [s.log_mu for s in pk.summarize(mat)]
+    for row in rep.rows:
+        n = model.datapoint_ids.index(row.datapoint_id)
+        one = wapdi_taylor(model, n, draws.posterior_mean, draws.posterior_var, log_mu[n])
+        assert type(row.wapdi_taylor) is float and type(one) is float
+        assert np.array([row.wapdi_taylor]).view(np.uint64) == np.array([one]).view(np.uint64)
