@@ -5,8 +5,8 @@ Four commands: ``compute`` ingests an external log-likelihood matrix,
 existing summary to the worst datapoints, and ``check-lemma`` compares exact
 WAPDI against its first-order Taylor approximation.
 
-Exit codes: 0 success, 2 usage, 3 malformed input, 4 numerical failure.
-Every failure prints one line starting with ``pdikit: error:``.
+Exit codes: 0 success, 2 usage, 3 bad input or a file it cannot read or write,
+4 numerical failure. Every failure prints one line starting with ``pdikit: error:``.
 """
 
 from __future__ import annotations
@@ -174,18 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    kwargs = {k.replace("-", "_"): v for k, v in vars(ns).items()}
-    if "formats" in kwargs and kwargs["formats"] is not None:
-        formats = tuple(f.strip() for f in kwargs["formats"].split(",") if f.strip())
-        bad = [f for f in formats if f not in FORMATS]
+    if getattr(ns, "formats", None) is not None:
+        ns.formats = tuple(f.strip() for f in ns.formats.split(",") if f.strip())
+        bad = [f for f in ns.formats if f not in FORMATS]
         if bad:
             parser.error(
                 f"argument --formats: unknown format {bad[0]!r} "
                 f"(choose from {', '.join(FORMATS)})"
             )
-        kwargs["formats"] = formats
-    known = RunConfig.__dataclass_fields__.keys()
-    cfg = RunConfig(**{k: v for k, v in kwargs.items() if k in known})
+    cfg = RunConfig(**vars(ns))  # every argparse dest is a RunConfig field
     if cfg.command in ("fit", "check-lemma"):
         if cfg.model == "presidents-nb2" and (cfg.data or cfg.synthetic is not None):
             parser.error("presidents-nb2 uses the embedded dataset only")
@@ -349,16 +346,13 @@ def _cmd_fit(cfg: RunConfig) -> int:
 
 
 def _dump_data(cfg: RunConfig, built: _BuiltModel) -> int:
-    from . import datasets
-
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     target = outdir / "data.csv"
     meta = reportio.meta_line(cfg.seed)
     if cfg.model == "presidents-nb2":
         lines = [meta, "id,days"] + [
-            f"{i},{int(d)}"
-            for i, d in zip(datasets.presidents_ids(), datasets.presidents_days())
+            f"{i},{int(d)}" for i, d in zip(built.model.datapoint_ids, built.dataset)
         ]
     elif cfg.model == "toy-gamma":
         lines = [meta, "x"] + [repr(float(x)) for x in built.dataset]
@@ -426,22 +420,14 @@ _DISPATCH = {
 }
 
 
-def run_pipeline(cfg: RunConfig) -> int:
-    """Execute a parsed command; exceptions are mapped to exit codes in main."""
-    return _DISPATCH[cfg.command](cfg)
-
-
 def main(argv=None) -> int:
     cfg = parse_args(argv if argv is not None else sys.argv[1:])
     try:
-        return run_pipeline(cfg)
-    except reportio.InputFormatError as exc:
-        print(f"pdikit: error: {exc}", file=sys.stderr)
-        return 3
+        return _DISPATCH[cfg.command](cfg)
     except SamplerError as exc:
         print(f"pdikit: error: numerical failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # InputFormatError is a ValueError
         print(f"pdikit: error: {exc}", file=sys.stderr)
         return 3
 

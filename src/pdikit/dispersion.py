@@ -433,20 +433,17 @@ def rank_report(
     )
 
 
-def group_aggregate(
-    report: MismatchReport, grouping: dict[str, str] | None = None
-) -> dict[str, GroupStats]:
+def group_aggregate(report: MismatchReport) -> dict[str, GroupStats]:
     """Per-group arithmetic means of WAPDI and log_mu, ordered by label.
 
-    ``grouping`` maps datapoint id to label; defaults to the report's own
-    group labels. Every row must be covered. Each mean is over the finite
-    values only (a flagged row's NaN WAPDI is left out); ``count`` is every
-    row of the group.
+    The groups are the report's own ``group_labels`` (datapoint id to label,
+    from ``rank_report``), which must cover every row. Each mean is over the
+    finite values only (a flagged row's NaN WAPDI is left out); ``count`` is
+    every row of the group.
     """
+    grouping = report.group_labels
     if grouping is None:
-        grouping = report.group_labels
-    if grouping is None:
-        raise ValueError("no grouping given and the report carries no group labels")
+        raise ValueError("the report carries no group labels")
     buckets: dict[str, list[ReportRow]] = {}
     for row in report.rows:
         if row.datapoint_id not in grouping:

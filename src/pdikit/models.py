@@ -49,7 +49,8 @@ def nb2_log_pmf(x, mu, phi):
     """Negative binomial log pmf in the mean/dispersion parameterization.
 
     Mean mu, variance mu + mu^2/phi. Vectorized over any argument; evaluated
-    through log-gamma so large counts and small phi stay finite.
+    through log-gamma so large counts and small phi stay finite. Raises
+    ``ValueError`` unless mu, phi > 0 are finite and x is a count.
     """
     x = np.asarray(x, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -60,15 +61,20 @@ def nb2_log_pmf(x, mu, phi):
         raise ValueError("mu and phi must be > 0")
     if np.any(x < 0) or np.any(x != np.floor(x)):
         raise ValueError("x must be a non-negative integer count")
+    out = _nb2_terms(x, gammaln(x + 1.0), mu, phi)
+    return out if out.shape else float(out)
+
+
+def _nb2_terms(x, gammaln_x1, mu, phi):
+    """The NB2 log pmf without checks, given ``gammaln(x + 1)``; ``pointwise_row`` shares it."""
     denom = np.log(phi + mu)
-    out = (
+    return (
         gammaln(x + phi)
         - gammaln(phi)
-        - gammaln(x + 1.0)
+        - gammaln_x1
         + phi * (np.log(phi) - denom)
         + x * (np.log(mu) - denom)
     )
-    return out if out.shape else float(out)
 
 
 def moment_match_mu_prior(data) -> tuple[float, float]:
@@ -169,15 +175,7 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
         pi, mu, phi, params = by_param[:K], by_param[K : 2 * K], by_param[2 * K :], by_param[K:]
         if not params.min() > 0 or not params.max() < np.inf:  # NaN fails both
             nb2_log_pmf(x, mu, phi)  # raises the classified ValueError
-        denom = np.log(phi + mu)
-        comp = (
-            gammaln(x + phi)
-            - gammaln(phi)
-            - gammaln_x1
-            + phi * (np.log(phi) - denom)
-            + x * (np.log(mu) - denom)
-        )
-        return _logsumexp_components(comp, pi)
+        return _logsumexp_components(_nb2_terms(x, gammaln_x1, mu, phi), pi)
 
     def log_joint(theta):
         # The row first: for a bad theta it raises the classified ValueError
@@ -218,13 +216,10 @@ def relabel_by_dispersion(draws: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected draws with {3 * K} columns")
     mu = draws[:, K : 2 * K]
     phi = draws[:, 2 * K :]
-    out = draws.copy()
     order = np.argsort(mu + mu * mu / phi, axis=1)
-    rows = np.arange(draws.shape[0])[:, None]
-    for block in range(3):
-        cols = block * K
-        out[:, cols : cols + K] = draws[:, cols : cols + K][rows, order]
-    return out
+    # One gather over the (S, 3, K) view: each block is permuted by its draw's order.
+    blocks = draws.reshape(len(draws), 3, K)
+    return np.take_along_axis(blocks, order[:, None, :], axis=2).reshape(draws.shape)
 
 
 # ---------------------------------------------------------------------------

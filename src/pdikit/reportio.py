@@ -38,8 +38,8 @@ __all__ = [
     "read_values_csv",
 ]
 
-SUMMARY_COLUMNS = (
-    "id",
+# Float and rank columns, each named once; the summary writer and reader iterate them.
+_FLOAT_COLUMNS = (
     "log_mu",
     "mu_log",
     "sigma2_log",
@@ -47,10 +47,9 @@ SUMMARY_COLUMNS = (
     "wapdi",
     "pdi_log",
     "waic_term",
-    "rank_wapdi",
-    "rank_logpred",
-    "flags",
 )
+_RANK_COLUMNS = ("rank_wapdi", "rank_logpred")
+SUMMARY_COLUMNS = ("id", *_FLOAT_COLUMNS, *_RANK_COLUMNS, "flags")
 
 
 class InputFormatError(ValueError):
@@ -75,12 +74,15 @@ def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
 
     Streamed from the open file; each physical line is split again with
     ``str.splitlines``, so lines are numbered as ``read_text().splitlines()``
-    numbers them (breaking at ``\\f``, U+2028, ...). A byte that is not
-    UTF-8 raises an ``InputFormatError`` with its line and whole-file offset.
+    numbers them (breaking at ``\\f``, U+2028, ...). A file that cannot be
+    opened, or a byte that is not UTF-8, raises an ``InputFormatError``
+    (for a byte, with its line and whole-file offset).
     """
-    if not path.exists():
-        raise InputFormatError(f"no such file: {path}")
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise InputFormatError(f"{path}: cannot read: {exc.strerror}") from None
+    with fh:
         try:
             pieces = (piece for physical in fh for piece in physical.splitlines())
             for i, line in enumerate(pieces, 1):
@@ -191,9 +193,8 @@ def format_summary_row(record: dict) -> str:
     return ",".join(
         [
             record["id"],
-            *[_fmt(record[c]) for c in SUMMARY_COLUMNS[1:8]],
-            str(record["rank_wapdi"]),
-            str(record["rank_logpred"]),
+            *[_fmt(record[c]) for c in _FLOAT_COLUMNS],
+            *[str(record[c]) for c in _RANK_COLUMNS],
             ";".join(record["flags"]),
         ]
     )
@@ -236,16 +237,18 @@ def read_summary_csv(path) -> list[dict]:
         cells = line.split(",")
         if len(cells) != len(SUMMARY_COLUMNS):
             raise InputFormatError(f"{path}: ragged row at line {line_no}")
-        rec: dict = {"id": cells[0], "flags": tuple(f for f in cells[10].split(";") if f)}
-        for col_no, (name, cell) in enumerate(zip(SUMMARY_COLUMNS[1:8], cells[1:8]), 2):
-            rec[name] = _parse_float(path, cell, line_no, col_no)
-        for col_no, (name, cell) in enumerate(zip(SUMMARY_COLUMNS[8:10], cells[8:10]), 9):
-            try:
-                rec[name] = int(cell)
-            except ValueError:
-                raise InputFormatError(
-                    f"{path}: non-integer rank {cell!r} at line {line_no}, column {col_no}"
-                ) from None
+        rec = dict(zip(SUMMARY_COLUMNS, cells))
+        rec["flags"] = tuple(f for f in rec["flags"].split(";") if f)
+        for col_no, (name, cell) in enumerate(zip(SUMMARY_COLUMNS, cells), 1):
+            if name in _FLOAT_COLUMNS:
+                rec[name] = _parse_float(path, cell, line_no, col_no)
+            elif name in _RANK_COLUMNS:
+                try:
+                    rec[name] = int(cell)
+                except ValueError:
+                    raise InputFormatError(
+                        f"{path}: non-integer rank {cell!r} at line {line_no}, column {col_no}"
+                    ) from None
         out.append(rec)
     return out
 
@@ -364,9 +367,8 @@ _VOTE_REQUIRED = ("vote", "sex", "race", "state")
 
 def _category_index(values) -> tuple[tuple[str, ...], np.ndarray]:
     """The sorted distinct values, as strings, and each value's index among them."""
-    distinct = sorted(set(values))
-    lookup = {v: i for i, v in enumerate(distinct)}
-    return tuple(str(v) for v in distinct), np.array([lookup[v] for v in values])
+    distinct, index = np.unique(values, return_inverse=True)
+    return tuple(str(v) for v in distinct.tolist()), index
 
 
 def read_votes_csv(path) -> VoteTable:

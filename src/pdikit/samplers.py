@@ -48,7 +48,7 @@ __all__ = [
 
 
 class SamplerError(RuntimeError):
-    """Raised when a target evaluation returns NaN or +inf, or a precondition fails."""
+    """A NaN or +inf target, a non-finite log-likelihood entry, or a failed precondition."""
 
 
 # Cells per batched ``pointwise_row`` call in ``loglik_matrix``. A model's
@@ -73,10 +73,12 @@ class SamplerConfig:
             raise ValueError("warmup_steps must be >= 0")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
-        if self.initial_step_size <= 0:
-            raise ValueError("initial_step_size must be > 0")
+        if not 0.0 < self.initial_step_size < math.inf:  # NaN fails too
+            raise ValueError("initial_step_size must be finite and > 0")
         if not 0.0 < self.adaptation_target_acceptance < 1.0:
             raise ValueError("adaptation_target_acceptance must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,8 @@ def loglik_matrix(model: ModelSpec, draws: PosteriorDraws) -> LogLikMatrix:
     """Evaluate the pointwise log-likelihood at every draw: entry (s, n).
 
     Draws go to ``pointwise_row`` in batches of about ``LOGLIK_BLOCK_CELLS``
-    cells. The matrix adopts the array filled here, without a copy.
+    cells. The matrix adopts the array filled here, without a copy; a NaN or
+    infinite entry raises ``SamplerError`` naming its first draw and datapoint.
     """
     n = model.data_count
     values = np.empty((draws.draws.shape[0], n))
@@ -266,10 +269,10 @@ def loglik_matrix(model: ModelSpec, draws: PosteriorDraws) -> LogLikMatrix:
         thetas = draws.draws[start : start + step]
         rows = model.pointwise_row(thetas)
         values[start : start + step] = _checked_batch("pointwise_row", rows, (len(thetas), n))
-    if np.isnan(values.min()):  # min propagates NaN without a full-size mask
-        s, n = np.argwhere(np.isnan(values))[0].tolist()
-        raise SamplerError(f"NaN pointwise log-likelihood at draw {s}, datapoint {n}")
-    return LogLikMatrix._adopt(values, model.datapoint_ids)
+    try:
+        return LogLikMatrix._adopt(values, model.datapoint_ids)
+    except ValueError as exc:
+        raise SamplerError(str(exc)) from None
 
 
 def conjugate_gamma_posterior(

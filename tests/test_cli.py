@@ -121,6 +121,15 @@ class TestParseArgs:
                 "thinning must be >= 1",
             ),
             (["check-lemma", "--model", "toy-gamma", "--draws", "1"], "kept_draws must be >= 2"),
+            (["fit", "--model", "presidents-nb2", "--seed", "-1"], "seed must be >= 0"),
+            (
+                ["check-lemma", "--model", "voting-base", "--step", "nan"],
+                "initial_step_size must be finite and > 0",
+            ),
+            (
+                ["fit", "--model", "toy-gamma", "--step", "inf"],
+                "initial_step_size must be finite and > 0",
+            ),
         ],
     )
     def test_bad_sampler_flag_exits_2_for_every_model(self, tmp_path, capsys, argv, message):
@@ -233,6 +242,30 @@ class TestComputeCommand:
             ["compute", "--input", str(tmp_path / "no.csv"), "--out", str(tmp_path)]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "case, reason",
+        [
+            ("input-dir", "Is a directory"),
+            ("report-dir", "Is a directory"),
+            ("out-file", "File exists"),
+        ],
+    )
+    def test_file_system_error_is_one_line(self, matrix_file, tmp_path, capsys, case, reason):
+        out = tmp_path / "o"
+        argv = {
+            "input-dir": ["compute", "--input", str(tmp_path), "--out", str(out)],
+            "report-dir": ["report", "--input", str(tmp_path), "--out", str(out)],
+            "out-file": ["compute", "--input", str(matrix_file), "--out", str(matrix_file)],
+        }[case]
+        before = sorted(tmp_path.iterdir())
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("pdikit: error:") and reason in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert sorted(tmp_path.iterdir()) == before  # no output written
+        assert matrix_file.read_text() == MATRIX_2x2
 
     def test_groups_aggregated(self, matrix_file, tmp_path):
         g = tmp_path / "groups.csv"

@@ -515,9 +515,12 @@ class TestGrouping:
         assert math.isnan(pk.group_aggregate(only_flagged)["g"].mean_wapdi)
 
     def test_missing_label_rejected(self):
-        rep = self._report([-0.1, -0.2], [-1, -1], ["a", "b"], None)
-        with pytest.raises(ValueError):
-            pk.group_aggregate(rep, {"a": "g"})
+        rep = self._report([-0.1, -0.2], [-1, -1], ["a", "b"], {"a": "g"})
+        with pytest.raises(ValueError, match="'b' has no group label"):
+            pk.group_aggregate(rep)
+        unlabelled = self._report([-0.1, -0.2], [-1, -1], ["a", "b"], None)
+        with pytest.raises(ValueError, match="carries no group labels"):
+            pk.group_aggregate(unlabelled)
 
     def test_labels_sorted(self):
         rep = self._report([-0.1, -0.2], [-1, -1], ["a", "b"], {"a": "zz", "b": "aa"})

@@ -193,6 +193,22 @@ class TestNB2MixtureModel:
         assert np.allclose(out[0][3:6], [1461.0, 2896.0, 1578.0])
         assert np.allclose(out[0][:3], [0.2, 0.3, 0.5])
 
+    def test_relabel_equals_per_block_loop(self):
+        # The reference is the old per-block loop; keys tie in a third of the draws.
+        rng = np.random.default_rng(12)
+        draws = rng.gamma(2.0, 50.0, size=(300, 9))
+        draws[::3, 4:6] = draws[::3, 3:4]
+        draws[::3, 7:9] = draws[::3, 6:7]
+        K = 3
+        mu, phi = draws[:, K : 2 * K], draws[:, 2 * K :]
+        order = np.argsort(mu + mu * mu / phi, axis=1)
+        want = draws.copy()
+        rows = np.arange(len(draws))[:, None]
+        for block in range(3):
+            want[:, block * K : block * K + K] = draws[:, block * K : block * K + K][rows, order]
+        got = models.relabel_by_dispersion(draws)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_rejects_non_counts(self):
         with pytest.raises(ValueError):
             models.nb2_mixture_model(np.array([1.5, 2.0]))

@@ -308,6 +308,21 @@ class TestReaderLineNumbers:
         self._raises(reportio.read_summary_csv, path, "ragged row at line 3")
 
 
+@pytest.mark.parametrize("col_no", range(2, 9))
+def test_bad_float_cell_names_its_position(tmp_path, col_no):
+    m = pk.LogLikMatrix(np.random.default_rng(0).normal(-3, 1, size=(5, 3)))
+    path = tmp_path / "summary.csv"
+    reportio.write_summary_csv(path, pk.rank_report(pk.summarize(m), m.datapoint_ids), 0)
+    lines = path.read_text().splitlines()  # meta line, header, rows from line 3
+    cells = lines[3].split(",")
+    cells[col_no - 1] = "y"
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(reportio.InputFormatError) as err:
+        reportio.read_summary_csv(path)
+    assert str(err.value) == f"{path}: non-numeric value 'y' at line 4, column {col_no}"
+
+
 @pytest.mark.parametrize("col_no", [9, 10])
 def test_bad_rank_cell_names_its_position(tmp_path, capsys, col_no):
     m = pk.LogLikMatrix(np.random.default_rng(0).normal(-3, 1, size=(5, 3)))
@@ -453,3 +468,26 @@ class TestStrictJson:
         run = _strict((tmp_path / "run.json").read_text())
         assert run["x"] == [1.0, None]
         assert run["y"] == {"z": None, "w": [2.0, "s"]}
+
+
+def _category_index_by_dict(values):
+    """The dict-based category index ``reportio._category_index`` replaced."""
+    distinct = sorted(set(values))
+    lookup = {v: i for i, v in enumerate(distinct)}
+    return tuple(str(v) for v in distinct), np.array([lookup[v] for v in values])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        ["wy", "ca", "ny", "ca", "Ab", "b", "wy", "aa"],
+        [7, 3, 12, 3, 0, 7, 45, 12],
+    ],
+)
+def test_category_index_matches_the_dict_version(values):
+    codes, index = reportio._category_index(values)
+    want_codes, want_index = _category_index_by_dict(values)
+    assert codes == want_codes
+    assert all(type(c) is str for c in codes)
+    assert np.array_equal(index, want_index)
+    assert index.dtype == want_index.dtype

@@ -180,6 +180,11 @@ class TestSamplerConfig:
             pk.SamplerConfig(warmup_steps=-1)
         with pytest.raises(ValueError):
             pk.SamplerConfig(thinning=0)
+        for step in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="initial_step_size must be finite and > 0"):
+                pk.SamplerConfig(initial_step_size=step)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            pk.SamplerConfig(seed=-1)
 
 
 def two_loop_metropolis(model, config):
@@ -615,6 +620,28 @@ class TestLogLikMatrixFromDraws:
         )
         draws = pk.posterior_draws_from(np.array([[0.1], [0.7], [0.9]]), 1.0, 0)
         with pytest.raises(pk.SamplerError, match=r"at draw 1, datapoint 1$"):
+            pk.loglik_matrix(model, draws)
+
+    @pytest.mark.parametrize("bad, name", [(np.inf, r"\+inf"), (-np.inf, "-inf")])
+    def test_infinite_entry_is_a_sampler_error(self, bad, name):
+        # Only draw 2 at datapoint 0 holds the infinite value.
+        def row(th):
+            x = th[..., 0]
+            return np.stack([np.where(x > 0.8, bad, 0.0), np.full_like(x, -1.0)], -1)
+
+        model = pk.ModelSpec(
+            name="inf-row",
+            transform=BlockTransform([IdentityBlock(1)]),
+            log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
+            log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
+            pointwise_row=row,
+            data_count=2,
+            datapoint_ids=("a", "b"),
+            prior_mean=np.array([0.0]),
+        )
+        draws = pk.posterior_draws_from(np.array([[0.1], [0.7], [0.9]]), 1.0, 0)
+        message = rf"^{name} log-likelihood at draw 2, datapoint 0"
+        with pytest.raises(pk.SamplerError, match=message):
             pk.loglik_matrix(model, draws)
 
     def test_posterior_draws_moments(self):
