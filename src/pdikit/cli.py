@@ -206,7 +206,7 @@ class _BuiltModel:
 
 
 def _build_model(cfg: RunConfig) -> _BuiltModel:
-    # The models need scipy; compute and report never import them.
+    # compute and report never import the models; only two of them load scipy.
     from . import datasets, models
 
     if cfg.model == "presidents-nb2":
@@ -326,7 +326,9 @@ def _write_outputs(
 
 
 def _cmd_compute(cfg: RunConfig) -> int:
-    matrix = reportio.read_loglik_csv(cfg.input, allow_degenerate=cfg.allow_degenerate)
+    matrix = reportio.read_loglik_csv(
+        cfg.input, allow_degenerate=cfg.allow_degenerate, keep_option="--allow-degenerate"
+    )
     labels = reportio.read_group_labels_csv(cfg.groups) if cfg.groups else None
     ids = matrix.datapoint_ids
     meta = {"input": str(cfg.input), "draws": matrix.draw_count, "n": matrix.point_count}
@@ -374,13 +376,13 @@ def _cmd_report(cfg: RunConfig) -> int:
     lines = [",".join(reportio.SUMMARY_COLUMNS)]
     lines += [reportio.format_summary_row(r) for r in top]
     text = "\n".join(lines)
-    print(text)
-    if cfg.out:
+    if cfg.out:  # before printing, so that a failed command prints nothing
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "report.csv").write_text(
             source_meta + "\n" + text + "\n", encoding="utf-8"
         )
+    print(text)
     return 0
 
 

@@ -81,14 +81,23 @@ class LogLikMatrix:
     allow_degenerate: bool = False
 
     def __init__(self, values, datapoint_ids=None, allow_degenerate=False):
-        self._take(np.array(values, dtype=np.float64, order="C"), datapoint_ids, allow_degenerate)
+        values = np.array(values, dtype=np.float64, order="C")
+        self._take(values, datapoint_ids, allow_degenerate, "allow_degenerate=True")
 
     @classmethod
-    def _adopt(cls, values: np.ndarray, datapoint_ids=None, allow_degenerate=False):
-        """The matrix over ``values`` itself: a float64 array the caller gives up."""
-        return cls.__new__(cls)._take(values, datapoint_ids, allow_degenerate)
+    def _adopt(
+        cls, values: np.ndarray, datapoint_ids=None, allow_degenerate=False, keep_option=None
+    ):
+        """The matrix over ``values`` itself: a float64 array the caller gives up.
 
-    def _take(self, values: np.ndarray, datapoint_ids, allow_degenerate) -> LogLikMatrix:
+        ``keep_option`` is what the caller's own user passes to keep -inf
+        entries, named in the refusal; ``None`` when there is no such option.
+        """
+        return cls.__new__(cls)._take(values, datapoint_ids, allow_degenerate, keep_option)
+
+    def _take(
+        self, values: np.ndarray, datapoint_ids, allow_degenerate, keep_option
+    ) -> LogLikMatrix:
         """Validate, then freeze ``values`` in place as this matrix's own."""
         if values.ndim != 2:
             raise ValueError("log-likelihood matrix must be 2-D (draws x datapoints)")
@@ -106,9 +115,9 @@ class LogLikMatrix:
                 raise ValueError(f"+inf log-likelihood at draw {s}, datapoint {n}")
             if not allow_degenerate:
                 s, n = np.argwhere(np.isneginf(values))[0]
+                keep = f"; pass {keep_option} to keep it" if keep_option else ""
                 raise ValueError(
-                    f"-inf log-likelihood at draw {s}, datapoint {n} "
-                    "(zero-likelihood draw; pass allow_degenerate=True to keep it)"
+                    f"-inf log-likelihood at draw {s}, datapoint {n} (zero-likelihood draw{keep})"
                 )
         if datapoint_ids is None:
             datapoint_ids = tuple(str(j) for j in range(n_points))

@@ -12,6 +12,10 @@ Three families:
 Each model's functions are written once over the last axis, which holds the
 parameter vector, so one (P,) theta and an (R, P) batch run the same lines
 (see ``ModelSpec``).
+
+Only the NB2 mixture and the gamma toy need scipy, for ``gammaln``; they
+import it when they are built or called. The voting models, ``VoteTable`` and
+``simulate_votes`` run on numpy alone.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .samplers import ModelSpec
 from .transforms import BlockTransform, IdentityBlock, PositiveBlock, SimplexBlock
@@ -52,6 +55,8 @@ def nb2_log_pmf(x, mu, phi):
     through log-gamma so large counts and small phi stay finite. Raises
     ``ValueError`` unless mu, phi > 0 are finite and x is a count.
     """
+    from scipy.special import gammaln
+
     x = np.asarray(x, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
@@ -61,12 +66,15 @@ def nb2_log_pmf(x, mu, phi):
         raise ValueError("mu and phi must be > 0")
     if np.any(x < 0) or np.any(x != np.floor(x)):
         raise ValueError("x must be a non-negative integer count")
-    out = _nb2_terms(x, gammaln(x + 1.0), mu, phi)
+    out = _nb2_terms(gammaln, x, gammaln(x + 1.0), mu, phi)
     return out if out.shape else float(out)
 
 
-def _nb2_terms(x, gammaln_x1, mu, phi):
-    """The NB2 log pmf without checks, given ``gammaln(x + 1)``; ``pointwise_row`` shares it."""
+def _nb2_terms(gammaln, x, gammaln_x1, mu, phi):
+    """The NB2 log pmf without checks, given ``gammaln(x + 1)``; ``pointwise_row`` shares it.
+
+    ``gammaln`` is scipy's, passed in by callers that imported it once.
+    """
     denom = np.log(phi + mu)
     return (
         gammaln(x + phi)
@@ -87,8 +95,9 @@ def moment_match_mu_prior(data) -> tuple[float, float]:
     return float(m * m / v), float(m / v)
 
 
-def _gamma_logpdf(x, shape, rate):
-    return shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
+def _gamma_logpdf(x, shape, rate, gammaln_shape):
+    """The gamma log density, given the constant ``gammaln(shape)``."""
+    return shape * np.log(rate) - gammaln_shape + (shape - 1.0) * np.log(x) - rate * x
 
 
 # NB2 mixture hyperparameters: flat Dirichlet on weights, diffuse gamma on phi.
@@ -141,6 +150,8 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
     means mu[3:6], then dispersions phi[6:9]. The gamma prior on each mu is
     moment-matched to the data; phi gets Gam(shape=1, rate=0.01).
     """
+    from scipy.special import gammaln
+
     data = np.asarray(data, dtype=np.float64)
     if np.any(data < 0) or np.any(data != np.floor(data)):
         raise ValueError("counts must be non-negative integers")
@@ -150,8 +161,11 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
 
     K = _NB2_K
     # Everything that does not depend on theta, evaluated once with the same
-    # operations, in the same order, as nb2_log_pmf and _gamma_logpdf.
-    x = data
+    # operations, in the same order, as nb2_log_pmf and _gamma_logpdf. The
+    # components are scored once per distinct count, then gathered back to
+    # the datapoints: every step is elementwise over datapoints, so each value
+    # is the one a per-datapoint evaluation gives.
+    x, inverse = np.unique(data, return_inverse=True)
     gammaln_x1 = gammaln(x + 1.0)
     log_dirichlet = gammaln(K)  # Dirichlet(1,1,1) is the constant log Gamma(3)
     mu_const = mu_shape * np.log(mu_rate) - gammaln(mu_shape)
@@ -170,12 +184,13 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
         return log_dirichlet + mu_sum + phi_sum
 
     def pointwise_row(theta):
-        # (K, ..., 1) parameters against the (N,) counts: (K, ..., N) components
+        # (K, ..., 1) parameters against the (U,) distinct counts: (K, ..., U) components
         by_param = np.ascontiguousarray(theta.T)[..., None]
         pi, mu, phi, params = by_param[:K], by_param[K : 2 * K], by_param[2 * K :], by_param[K:]
         if not params.min() > 0 or not params.max() < np.inf:  # NaN fails both
             nb2_log_pmf(x, mu, phi)  # raises the classified ValueError
-        return _logsumexp_components(_nb2_terms(x, gammaln_x1, mu, phi), pi)
+        by_count = _logsumexp_components(_nb2_terms(gammaln, x, gammaln_x1, mu, phi), pi)
+        return np.take(by_count, inverse, axis=-1)
 
     def log_joint(theta):
         # The row first: for a bad theta it raises the classified ValueError
@@ -239,6 +254,8 @@ def gamma_toy_model(data, eval_points=None, ids=None) -> ModelSpec:
     the posterior, which stays conditioned on ``data``; use it to score a
     grid of hypothetical observations.
     """
+    from scipy.special import gammaln
+
     data = np.asarray(data, dtype=np.float64)
     if np.any(data <= 0):
         raise ValueError("data must be strictly positive")
@@ -249,21 +266,25 @@ def gamma_toy_model(data, eval_points=None, ids=None) -> ModelSpec:
         ids = tuple(f"x{i:03d}={x:g}" for i, x in enumerate(pts))
 
     a = TOY_LIK_SHAPE
+    gammaln_a = gammaln(a)
+    gammaln_prior_shape = gammaln(TOY_PRIOR_SHAPE)
     sum_log_x = float(np.log(data).sum())
     sum_x = float(data.sum())
     n = data.size
 
     # Each function takes a (..., 1) rate or batch of rates.
     def log_prior(theta):
-        return _gamma_logpdf(theta[..., 0], TOY_PRIOR_SHAPE, TOY_PRIOR_RATE)
+        return _gamma_logpdf(
+            theta[..., 0], TOY_PRIOR_SHAPE, TOY_PRIOR_RATE, gammaln_prior_shape
+        )
 
     def log_joint(theta):
         beta = theta[..., 0]
-        total = n * (a * np.log(beta) - gammaln(a)) + (a - 1.0) * sum_log_x - beta * sum_x
+        total = n * (a * np.log(beta) - gammaln_a) + (a - 1.0) * sum_log_x - beta * sum_x
         return log_prior(theta) + total
 
     def pointwise_row(theta):
-        return _gamma_logpdf(pts, a, theta)  # (..., 1) rates against (N,) points
+        return _gamma_logpdf(pts, a, theta, gammaln_a)  # (..., 1) rates against (N,) points
 
     return ModelSpec(
         name="gamma-toy",
@@ -286,6 +307,8 @@ def toy_posterior_predictive_logpdf(x_new, data) -> float:
     """
     if x_new <= 0:
         raise ValueError("x_new must be > 0")
+    from scipy.special import gammaln
+
     from .samplers import conjugate_gamma_posterior
 
     a = TOY_LIK_SHAPE
@@ -437,24 +460,28 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         return eta
 
     log_hyper = np.log(_HYPER_SCALE)
-    log_unit = np.log(1.0)
     half_log_2pi = 0.5 * np.log(2.0 * np.pi)
 
     def normal_logpdf(u, log_scale):
         # Normal log density at x, given u = x / scale and log(scale).
         return -0.5 * (u * u) - log_scale - half_log_2pi
 
+    def unit_normal_logpdf(u):
+        # normal_logpdf(u, log(1)) without its "- 0.0", which changes no float.
+        return -0.5 * (u * u) - half_log_2pi
+
     def log_prior(theta):
         # For one theta lp is a numpy scalar, which += rebinds; lp = lp + a - b
         # would group the additions differently and change the last bits.
-        lp = normal_logpdf(theta[..., :2], log_unit).sum(axis=-1)
+        lp = unit_normal_logpdf(theta[..., :2]).sum(axis=-1)
         for off, n, _ in groups:
-            mu, sigma = theta[..., off], theta[..., off + 1]
-            alpha = theta[..., off + 2 : off + 2 + n]
-            lp += normal_logpdf(mu / _HYPER_SCALE, log_hyper)
-            lp += normal_logpdf(sigma / _HYPER_SCALE, log_hyper)
-            u = (alpha - mu[..., None]) / sigma[..., None]
-            lp += normal_logpdf(u, log_unit).sum(axis=-1) - n * np.log(sigma)
+            # mu's and sigma's hyperpriors in one call, added in that order
+            hyper = normal_logpdf(theta[..., off : off + 2] / _HYPER_SCALE, log_hyper)
+            lp += hyper[..., 0]
+            lp += hyper[..., 1]
+            mu, sigma = theta[..., off, None], theta[..., off + 1, None]
+            u = (theta[..., off + 2 : off + 2 + n] - mu) / sigma
+            lp += unit_normal_logpdf(u).sum(axis=-1) - n * np.log(sigma[..., 0])
         return lp
 
     def pointwise_row(theta):

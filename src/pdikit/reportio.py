@@ -144,7 +144,9 @@ def _parse_matrix(path: Path) -> tuple[list[str], np.ndarray]:
     return header, np.array(scanned, dtype=np.float64)
 
 
-def read_loglik_csv(path, allow_degenerate: bool = False) -> LogLikMatrix:
+def read_loglik_csv(
+    path, allow_degenerate: bool = False, keep_option: str = "allow_degenerate=True"
+) -> LogLikMatrix:
     """Read a draws-by-datapoints log-likelihood matrix.
 
     The header row holds datapoint ids; every following row is one posterior
@@ -164,6 +166,9 @@ def read_loglik_csv(path, allow_degenerate: bool = False) -> LogLikMatrix:
 
     The parsed array is fresh, so the matrix adopts it: it is frozen in
     place, not copied (``LogLikMatrix(values)`` itself copies).
+
+    A -inf cell without ``allow_degenerate`` is refused with a message that
+    says to pass ``keep_option``: the CLI names its ``--allow-degenerate``.
     """
     path = Path(path)
     header, values = _parse_matrix(path)
@@ -172,7 +177,7 @@ def read_loglik_csv(path, allow_degenerate: bool = False) -> LogLikMatrix:
             f"{path}: need at least 2 posterior draws, found {len(values)}"
         )
     try:
-        return LogLikMatrix._adopt(values, header, allow_degenerate)
+        return LogLikMatrix._adopt(values, header, allow_degenerate, keep_option)
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
 
@@ -379,7 +384,7 @@ def read_votes_csv(path) -> VoteTable:
     category codes. Category indices are assigned from the sorted distinct
     codes in the file.
     """
-    # models needs scipy; import it only when a votes file is read.
+    # Imported only when a votes file is read: compute and report never load models.
     from .models import VoteTable
 
     path = Path(path)

@@ -145,27 +145,46 @@ class BlockTransform:
     constrained_dim: int = field(init=False, repr=False, compare=False)
     # (block, unconstrained slice, constrained slice) for each block
     _layout: tuple = field(init=False, repr=False, compare=False)
+    # The same for constrain, with each run of adjacent identity blocks, and
+    # each run of adjacent positive blocks, merged into one entry that spans
+    # the run: one slice copy or one exp per run.
+    _runs: tuple = field(init=False, repr=False, compare=False)
+    # (block, unconstrained slice) of each block with a log-Jacobian that is
+    # not identically zero, in block order
+    _scored: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, blocks):
         blocks = tuple(blocks)
-        layout = []
+        layout, runs = [], []
         i = j = 0
         for b in blocks:
-            layout.append(
-                (b, slice(i, i + b.unconstrained_size), slice(j, j + b.constrained_size))
-            )
+            zs, ts = slice(i, i + b.unconstrained_size), slice(j, j + b.constrained_size)
+            layout.append((b, zs, ts))
+            mergeable = isinstance(b, (IdentityBlock, PositiveBlock)) and bool(runs)
+            if mergeable and type(runs[-1][0]) is type(b):
+                _, run_zs, run_ts = runs.pop()
+                zs, ts = slice(run_zs.start, zs.stop), slice(run_ts.start, ts.stop)
+            runs.append((b, zs, ts))
             i += b.unconstrained_size
             j += b.constrained_size
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "unconstrained_dim", i)
         object.__setattr__(self, "constrained_dim", j)
         object.__setattr__(self, "_layout", tuple(layout))
+        object.__setattr__(self, "_runs", tuple(runs))
+        scored = tuple((b, zs) for b, zs, _ in layout if not isinstance(b, IdentityBlock))
+        object.__setattr__(self, "_scored", scored)
 
     def constrain(self, z):
         z = np.asarray(z, dtype=np.float64)
         out = np.empty(z.shape[:-1] + (self.constrained_dim,))
-        for b, zs, ts in self._layout:
-            out[..., ts] = b.constrain(z[..., zs])
+        for b, zs, ts in self._runs:
+            if isinstance(b, IdentityBlock):
+                out[..., ts] = z[..., zs]
+            elif isinstance(b, PositiveBlock):
+                np.exp(z[..., zs], out=out[..., ts])
+            else:
+                out[..., ts] = b.constrain(z[..., zs])
         return out
 
     def unconstrain(self, theta):
@@ -176,9 +195,11 @@ class BlockTransform:
         return out
 
     def log_jacobian(self, z):
+        # Each block's own sum, added to zeros in block order; the identity
+        # blocks' zeros are skipped, since x + 0.0 is x for every total this
+        # can reach (it starts at +0.0, so it is never -0.0).
         z = np.asarray(z, dtype=np.float64)
         total = np.zeros(z.shape[:-1])
-        for b, zs, _ in self._layout:
-            # Not +=: for one point that would keep total a 0-d array.
+        for b, zs in self._scored:
             total = total + b.log_jacobian(z[..., zs])
-        return total
+        return total[()]  # [()] makes one point's 0-d total a float

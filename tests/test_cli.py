@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -316,6 +317,16 @@ class TestComputeCommand:
         rec = reportio.read_summary_csv(tmp_path / "o2" / "summary.csv")[0]
         assert "nonfinite_loglik" in rec["flags"]
 
+    def test_degenerate_refusal_names_the_flag(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        p.write_text("a,b\n-1.0,-2.0\n-1.5,-inf\n")
+        assert main(["compute", "--input", str(p), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"pdikit: error: {p}: -inf log-likelihood at draw 1, datapoint 1 "
+            "(zero-likelihood draw; pass --allow-degenerate to keep it)\n"
+        )
+        assert not (tmp_path / "o").exists()
+
 
 class TestFitCommand:
     def test_toy_fit_writes_outputs(self, tmp_path):
@@ -434,6 +445,29 @@ class TestFitCommand:
         assert len(reportio.read_summary_csv(out / "summary.csv")) == 60
 
 
+@pytest.mark.parametrize("command", ["fit", "check-lemma"])
+def test_degenerate_fit_suggests_no_option(command, tmp_path, capsys, monkeypatch):
+    # fit and check-lemma have no --allow-degenerate, so the refusal names
+    # none. No built-in model gives -inf; this one's row does at datapoint 2.
+    from pdikit import cli, models
+
+    table, _ = models.simulate_votes(30, seed=1)
+    base = models.hier_logreg_model(table)
+    model = dataclasses.replace(
+        base,
+        pointwise_row=lambda th: np.where(
+            np.arange(base.data_count) == 2, -np.inf, base.pointwise_row(th)
+        ),
+    )
+    monkeypatch.setattr(cli, "_build_model", lambda cfg: cli._BuiltModel(model, None, {}, None))
+    argv = [command, "--model", "voting-base", "--warmup", "20", "--draws", "10"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == (
+        "pdikit: error: numerical failure: -inf log-likelihood at draw 0, "
+        "datapoint 2 (zero-likelihood draw)\n"
+    )
+
+
 class TestReportCommand:
     def test_top_k_rows(self, matrix_file, tmp_path, capsys):
         out = tmp_path / "res"
@@ -457,6 +491,19 @@ class TestReportCommand:
         assert len(lines) == 6
         ranks = [int(line.split(",")[8]) for line in lines[1:]]
         assert ranks == [1, 2, 3, 4, 5]
+
+    def test_unwritable_out_prints_nothing(self, matrix_file, tmp_path, capsys):
+        main(["compute", "--input", str(matrix_file), "--out", str(tmp_path / "res")])
+        capsys.readouterr()
+        not_a_dir = tmp_path / "afile"
+        not_a_dir.write_text("x\n")
+        summary = str(tmp_path / "res" / "summary.csv")
+        rc = main(["report", "--input", summary, "--top-k", "2", "--out", str(not_a_dir)])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("pdikit: error: ") and err.count("\n") == 1
+        assert not_a_dir.read_text() == "x\n"
 
 
 class TestVotesCsvErrors:

@@ -255,6 +255,12 @@ class TestMatrixAndSummaries:
         m = pk.LogLikMatrix([[0.0, -np.inf], [0.0, -1.0]], allow_degenerate=True)
         assert m.allow_degenerate
 
+    def test_neginf_refusal_names_the_keyword(self):
+        # A library caller keeps -inf entries with the constructor's keyword.
+        message = r"^-inf .* datapoint 1 \(zero-likelihood draw; pass allow_degenerate=True to keep it\)$"
+        with pytest.raises(ValueError, match=message):
+            pk.LogLikMatrix([[0.0, -np.inf], [0.0, 0.0]])
+
     def test_summarize_2x2_fixture(self):
         m = pk.LogLikMatrix(np.log([[0.2, 0.5], [0.4, 0.5]]), ["a", "b"])
         s = pk.summarize(m)

@@ -164,6 +164,29 @@ class TestNB2MixtureModel:
             assert model.log_prior(theta) == prior
             assert model.log_joint(theta) == prior + expected.sum()
 
+    def test_repeated_counts_bitwise_equal_scipy(self):
+        # The components are scored once per distinct count and gathered back;
+        # here every count repeats, in no particular order.
+        data = np.array([40.0, 5.0, 1460.0, 3.0, 40.0, 1460.0, 5.0, 3.0, 1460.0, 40.0])
+        model = models.nb2_mixture_model(data)
+        rng = np.random.default_rng(11)
+        thetas = []
+        for trial in range(60):
+            pi = rng.dirichlet(np.ones(3))
+            mu = np.exp(rng.uniform(0.0, 8.0, size=3))
+            phi = np.exp(rng.uniform(-3.0, 8.0, size=3))
+            if trial % 3 == 1:
+                mu[2], phi[2] = mu[0], phi[0]
+            if trial % 3 == 2:
+                pi[trial % 2] = 0.0
+            thetas.append(np.concatenate([pi, mu, phi]))
+            expected = logsumexp(models.nb2_log_pmf(data[:, None], mu, phi), axis=1, b=pi)
+            assert np.array_equal(model.pointwise_row(thetas[-1]), expected)
+        rows = model.pointwise_row(np.array(thetas))
+        assert rows.flags.c_contiguous
+        for theta, row in zip(thetas, rows):
+            assert np.array_equal(row, model.pointwise_row(theta))
+
     def test_target_rejects_bad_params(self):
         model = models.nb2_mixture_model(datasets.presidents_days())
         theta = np.array([0.2, 0.3, 0.5, 100.0, 1000.0, 3000.0, 1.0, 10.0, 100.0])

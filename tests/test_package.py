@@ -15,6 +15,17 @@ def test_public_names_are_unique_and_resolve():
         assert hasattr(pdikit, name), name
 
 
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports pdikit from this tree."""
+    src = str(Path(pdikit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_compute_and_report_run_without_scipy(tmp_path):
     # Only the built-in models need scipy; scoring a matrix and reporting on
     # a summary must not pay for importing it.
@@ -33,11 +44,30 @@ assert main(["report", "--input", {str(out / "summary.csv")!r}, "--top-k", "2",
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
-    src = str(Path(pdikit.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(code)
     assert (out / "report.csv").is_file()
+
+
+def test_voting_models_run_without_scipy(tmp_path):
+    # The hierarchical logistic models need numpy alone; only the NB2 mixture
+    # and the gamma toy load scipy, when they are built.
+    out = str(tmp_path)
+    code = f"""
+import sys
+from pdikit.cli import main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+short = ["--warmup", "30", "--draws", "10"]
+for command in ("fit", "check-lemma"):
+    argv = [command, "--model", "voting-base", "--synthetic", "40", *short]
+    assert main(argv + ["--out", {out!r} + "/" + command]) == 0
+assert not scipy_loaded(), scipy_loaded()
+assert main(["fit", "--model", "presidents-nb2", *short, "--out", {out!r} + "/nb2"]) == 0
+assert scipy_loaded()
+assert main(["check-lemma", "--model", "toy-gamma", *short, "--out", {out!r} + "/toy"]) == 0
+"""
+    run_fresh(code)
+    for name in ("fit", "check-lemma", "nb2", "toy"):
+        assert (tmp_path / name / "run.json").is_file()

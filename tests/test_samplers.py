@@ -72,7 +72,57 @@ def per_stick_simplex(z):
     return x, log_jac
 
 
+def per_block_transform(blocks, z):
+    """Each block sliced and mapped on its own, every log-Jacobian added: (theta, log|J|)."""
+    parts, total, i = [], np.zeros(z.shape[:-1]), 0
+    for b in blocks:
+        zb = z[..., i : i + b.unconstrained_size]
+        parts.append(b.constrain(zb))
+        total = total + b.log_jacobian(zb)
+        i += b.unconstrained_size
+    return np.concatenate(parts, axis=-1), total
+
+
+_I, _P, _S = IdentityBlock, PositiveBlock, SimplexBlock
+# Adjacent identity and adjacent positive blocks (merged by BlockTransform),
+# a simplex between them, and an all-identity transform.
+TRANSFORM_LAYOUTS = [
+    [_I(2), _I(1), _P(1), _I(8)],
+    [_I(1), _I(2), _P(1), _P(2), _S(3), _P(1), _P(1), _I(1), _I(3)],
+    [_S(3), _P(3), _P(3)],
+    [_P(2), _S(2), _I(1), _S(4), _I(2)],
+    [_I(1), _I(3)],
+    [_I(4)],
+]
+transform_blocks = st.one_of(
+    st.builds(IdentityBlock, st.integers(1, 3)),
+    st.builds(PositiveBlock, st.integers(1, 3)),
+    st.builds(SimplexBlock, st.integers(2, 4)),
+)
+
+
 class TestTransforms:
+    @given(
+        st.sampled_from(TRANSFORM_LAYOUTS) | st.lists(transform_blocks, min_size=1, max_size=7),
+        st.integers(0, 6),
+        st.data(),
+    )
+    @settings(max_examples=150)
+    def test_block_transform_matches_the_per_block_loop(self, blocks, rows, data):
+        tf = BlockTransform(blocks)
+        shape = (tf.unconstrained_dim,) if rows == 0 else (rows, tf.unconstrained_dim)
+        z = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-30.0, 30.0)))
+        want_theta, want_log_jac = per_block_transform(blocks, z)
+        theta, log_jac = tf.constrain(z), tf.log_jacobian(z)
+        assert np.array_equal(theta.view(np.uint64), want_theta.view(np.uint64))
+        assert np.array_equal(
+            np.asarray(log_jac).view(np.uint64), np.asarray(want_log_jac).view(np.uint64)
+        )
+        if rows == 0:
+            assert isinstance(log_jac, float) and np.ndim(log_jac) == 0
+        else:
+            assert log_jac.shape == (rows,)
+
     @given(st.lists(unconstrained, min_size=1, max_size=5))
     def test_positive_round_trip(self, zs):
         z = np.array(zs)
