@@ -13,7 +13,9 @@ Sorting makes each row independent of the draw order, so every estimator is
 bitwise-invariant under permutation of the posterior draws, and the
 single-column functions (the same kernel on one column) agree bitwise with
 ``summarize``. ``summarize`` runs the kernel over blocks of about
-``BLOCK_CELLS`` cells; degenerate columns are handled by masks.
+``BLOCK_CELLS`` cells; degenerate columns are handled by masks. A matrix
+whose datapoints share columns (see ``LogLikMatrix``) runs the kernel once
+per distinct column.
 """
 
 from __future__ import annotations
@@ -71,53 +73,72 @@ class LogLikMatrix:
     likelihood under some draw), which are then summarized with flags instead
     of aborting.
 
-    ``values`` is read-only. The constructor copies it, so the caller's array
-    stays writeable; ``read_loglik_csv`` and ``loglik_matrix`` hand over a
-    fresh array through ``_adopt``, which freezes it without a copy.
+    It is stored as S x C distinct columns, in order of their first
+    datapoint, plus each datapoint's column among them: ``loglik_matrix``
+    stores one column per model cell (see ``ModelSpec``), the constructor and
+    ``read_loglik_csv`` every datapoint's own (C = N). ``summarize`` and
+    ``waic`` score each stored column once.
+
+    ``values`` is the read-only S x N array. The constructor copies it, so
+    the caller's array stays writeable; ``read_loglik_csv`` and
+    ``loglik_matrix`` hand over a fresh array through ``_adopt``, which
+    freezes it without a copy. A matrix with shared columns builds a new
+    ``values`` array on each access.
     """
 
-    values: np.ndarray
     datapoint_ids: tuple[str, ...]
-    allow_degenerate: bool = False
+    allow_degenerate: bool
+    _columns: np.ndarray  # S x C, read-only
+    _column_of: np.ndarray | None  # each datapoint's column; None when C = N
 
     def __init__(self, values, datapoint_ids=None, allow_degenerate=False):
         values = np.array(values, dtype=np.float64, order="C")
-        self._take(values, datapoint_ids, allow_degenerate, "allow_degenerate=True")
+        self._take(values, datapoint_ids, allow_degenerate, "allow_degenerate=True", None)
 
     @classmethod
     def _adopt(
-        cls, values: np.ndarray, datapoint_ids=None, allow_degenerate=False, keep_option=None
+        cls, values, datapoint_ids=None, allow_degenerate=False, keep_option=None, column_of=None
     ):
         """The matrix over ``values`` itself: a float64 array the caller gives up.
 
         ``keep_option`` is what the caller's own user passes to keep -inf
         entries, named in the refusal; ``None`` when there is no such option.
+        ``column_of``, if given, holds each datapoint's column of ``values``,
+        whose columns must be in order of their first datapoint.
         """
-        return cls.__new__(cls)._take(values, datapoint_ids, allow_degenerate, keep_option)
+        matrix = cls.__new__(cls)
+        return matrix._take(values, datapoint_ids, allow_degenerate, keep_option, column_of)
 
     def _take(
-        self, values: np.ndarray, datapoint_ids, allow_degenerate, keep_option
+        self, values: np.ndarray, datapoint_ids, allow_degenerate, keep_option, column_of
     ) -> LogLikMatrix:
         """Validate, then freeze ``values`` in place as this matrix's own."""
         if values.ndim != 2:
             raise ValueError("log-likelihood matrix must be 2-D (draws x datapoints)")
-        n_draws, n_points = values.shape
+        n_draws = values.shape[0]
+        n_points = values.shape[1] if column_of is None else column_of.size
         if n_draws < 2:
             raise ValueError(f"need at least 2 posterior draws, got {n_draws}")
         if n_points < 1:
             raise ValueError("need at least 1 datapoint column")
+
+        def first_at(mask) -> str:
+            # Columns are in order of their first datapoint, so the first
+            # hit in row-major order is the full matrix's first hit too.
+            s, c = np.argwhere(mask)[0]
+            n = c if column_of is None else np.argmax(column_of == c)
+            return f"at draw {s}, datapoint {n}"
+
         if not np.isfinite(values).all():
             if np.isnan(values).any():
-                s, n = np.argwhere(np.isnan(values))[0]
-                raise ValueError(f"NaN log-likelihood at draw {s}, datapoint {n}")
+                raise ValueError(f"NaN log-likelihood {first_at(np.isnan(values))}")
             if np.isposinf(values).any():
-                s, n = np.argwhere(np.isposinf(values))[0]
-                raise ValueError(f"+inf log-likelihood at draw {s}, datapoint {n}")
+                raise ValueError(f"+inf log-likelihood {first_at(np.isposinf(values))}")
             if not allow_degenerate:
-                s, n = np.argwhere(np.isneginf(values))[0]
                 keep = f"; pass {keep_option} to keep it" if keep_option else ""
                 raise ValueError(
-                    f"-inf log-likelihood at draw {s}, datapoint {n} (zero-likelihood draw{keep})"
+                    f"-inf log-likelihood {first_at(np.isneginf(values))} "
+                    f"(zero-likelihood draw{keep})"
                 )
         if datapoint_ids is None:
             datapoint_ids = tuple(str(j) for j in range(n_points))
@@ -128,18 +149,28 @@ class LogLikMatrix:
                     f"{len(datapoint_ids)} datapoint ids for {n_points} columns"
                 )
         values.flags.writeable = False
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "datapoint_ids", datapoint_ids)
         object.__setattr__(self, "allow_degenerate", bool(allow_degenerate))
+        object.__setattr__(self, "_columns", values)
+        object.__setattr__(self, "_column_of", column_of)
         return self
 
     @property
+    def values(self) -> np.ndarray:
+        """The read-only S x N matrix."""
+        if self._column_of is None:
+            return self._columns
+        values = np.take(self._columns, self._column_of, axis=1)
+        values.flags.writeable = False
+        return values
+
+    @property
     def draw_count(self) -> int:
-        return self.values.shape[0]
+        return self._columns.shape[0]
 
     @property
     def point_count(self) -> int:
-        return self.values.shape[1]
+        return len(self.datapoint_ids)
 
 
 @dataclass(frozen=True)
@@ -352,22 +383,25 @@ def pdi_ratio(column) -> float:
 
 
 def _kernel_blocks(matrix: LogLikMatrix):
-    """``_dispersion_rows`` over blocks of about ``BLOCK_CELLS`` cells, in column order."""
-    values = matrix.values
+    """``_dispersion_rows`` over blocks of about ``BLOCK_CELLS`` cells of the stored columns."""
+    columns = matrix._columns
     step = max(1, BLOCK_CELLS // matrix.draw_count)
-    for start in range(0, matrix.point_count, step):
-        yield _dispersion_rows(values[:, start : start + step])
+    for start in range(0, columns.shape[1], step):
+        yield _dispersion_rows(columns[:, start : start + step])
 
 
 def summarize(matrix: LogLikMatrix) -> list[PointwiseSummary]:
     """Apply every column estimator to each column of the matrix.
 
     Columns are independent; degeneracies are recorded per row via flags and
-    never abort the rest of the matrix.
+    never abort the rest of the matrix. Each stored column is summarized
+    once; datapoints that share it share its summary.
     """
     out: list[PointwiseSummary] = []
     for k in _kernel_blocks(matrix):
         out += _summaries(k)
+    if matrix._column_of is not None:
+        out = [out[c] for c in matrix._column_of.tolist()]
     return out
 
 
@@ -379,6 +413,8 @@ def waic(matrix: LogLikMatrix) -> tuple[float, np.ndarray]:
     scalar.
     """
     terms = np.concatenate([k["waic_term"] for k in _kernel_blocks(matrix)])
+    if matrix._column_of is not None:
+        terms = terms[matrix._column_of]
     return _finite_mean(terms)[0], terms
 
 

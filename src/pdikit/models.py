@@ -164,7 +164,8 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
     # operations, in the same order, as nb2_log_pmf and _gamma_logpdf. The
     # components are scored once per distinct count, then gathered back to
     # the datapoints: every step is elementwise over datapoints, so each value
-    # is the one a per-datapoint evaluation gives.
+    # is the one a per-datapoint evaluation gives. Each distinct count is one
+    # likelihood cell of the ModelSpec.
     x, inverse = np.unique(data, return_inverse=True)
     gammaln_x1 = gammaln(x + 1.0)
     log_dirichlet = gammaln(K)  # Dirichlet(1,1,1) is the constant log Gamma(3)
@@ -214,6 +215,7 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
         data_count=data.size,
         datapoint_ids=tuple(ids),
         prior_mean=prior_mean,
+        cells=inverse,
     )
 
 
@@ -405,7 +407,8 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
     distinct cell and each respondent's cell index, so a target call costs
     O(cells) plus one length-N gather: the synthetic tables have 60 cells for
     base and 219 for with_age at N = 2000, and 244 for with_edu at N = 5000.
-    Each respondent's value is the same float as a per-respondent evaluation.
+    Each respondent's value is the same float as a per-respondent evaluation,
+    and the cells are the ModelSpec's likelihood cells.
 
     Constrained layout: [beta_female, beta_black], then for each group (the
     state, then age or edu) [mu, sigma, alpha (levels)].
@@ -499,6 +502,7 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         data_count=table.n,
         datapoint_ids=table.row_ids(),
         prior_mean=np.array(prior_mean),
+        cells=inverse,
     )
 
 

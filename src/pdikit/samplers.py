@@ -51,9 +51,9 @@ class SamplerError(RuntimeError):
     """A NaN or +inf target, a non-finite log-likelihood entry, or a failed precondition."""
 
 
-# Cells per batched ``pointwise_row`` call in ``loglik_matrix``. A model's
-# temporaries can be several times its batch (the NB2 mixture keeps K = 3
-# components per cell), so 2^12 cells keeps them under about 1 MB.
+# Matrix entries per batched ``pointwise_row`` call in ``loglik_matrix``. A
+# model's temporaries can be several times its batch (the NB2 mixture keeps
+# K = 3 components per entry), so 2^12 entries keeps them under about 1 MB.
 LOGLIK_BLOCK_CELLS = 2**12
 
 
@@ -98,6 +98,11 @@ class ModelSpec:
     up to arithmetic noise -- tests assert this factorization on every
     built-in model. ``prior_mean`` (constrained space) seeds the chain after
     mapping to unconstrained space.
+
+    ``cells`` labels each datapoint with its likelihood cell: a promise that
+    datapoints with equal labels have bitwise-equal ``pointwise_row``
+    entries at every theta, so ``loglik_matrix`` keeps one column per cell.
+    ``None`` makes each datapoint its own cell.
     """
 
     name: str
@@ -108,6 +113,7 @@ class ModelSpec:
     data_count: int
     datapoint_ids: tuple[str, ...]
     prior_mean: np.ndarray
+    cells: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -259,20 +265,38 @@ def loglik_matrix(model: ModelSpec, draws: PosteriorDraws) -> LogLikMatrix:
     """Evaluate the pointwise log-likelihood at every draw: entry (s, n).
 
     Draws go to ``pointwise_row`` in batches of about ``LOGLIK_BLOCK_CELLS``
-    cells. The matrix adopts the array filled here, without a copy; a NaN or
-    infinite entry raises ``SamplerError`` naming its first draw and datapoint.
+    entries. Only one column per model cell is kept (see ``ModelSpec``),
+    ordered by each cell's first datapoint, so a model with C cells never
+    allocates S x N: the matrix adopts the S x C array filled here, without a
+    copy, and builds ``values`` from it on access. A NaN or infinite entry
+    raises ``SamplerError`` naming its first draw and datapoint.
     """
     n = model.data_count
-    values = np.empty((draws.draws.shape[0], n))
+    first = column_of = None
+    if model.cells is not None:
+        first, column_of = _cell_columns(model.cells, n)
+    values = np.empty((draws.draws.shape[0], n if first is None else first.size))
     step = max(1, LOGLIK_BLOCK_CELLS // n)
     for start in range(0, values.shape[0], step):
         thetas = draws.draws[start : start + step]
-        rows = model.pointwise_row(thetas)
-        values[start : start + step] = _checked_batch("pointwise_row", rows, (len(thetas), n))
+        rows = _checked_batch("pointwise_row", model.pointwise_row(thetas), (len(thetas), n))
+        values[start : start + step] = rows if first is None else rows[:, first]
     try:
-        return LogLikMatrix._adopt(values, model.datapoint_ids)
+        return LogLikMatrix._adopt(values, model.datapoint_ids, column_of=column_of)
     except ValueError as exc:
         raise SamplerError(str(exc)) from None
+
+
+def _cell_columns(cells, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's first datapoint, in datapoint order, and each datapoint's cell among them."""
+    cells = np.asarray(cells)
+    if cells.shape != (n,):
+        raise ValueError(f"cells has shape {cells.shape} for {n} datapoints")
+    _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
 
 
 def conjugate_gamma_posterior(

@@ -612,3 +612,25 @@ class TestBatchedTarget:
             assert all(isinstance(v, float) for v in singles)  # np.float64 is a float
             assert same_bits([log_jac[r], prior[r], joint[r]], singles)
             assert same_bits(pointwise[r], model.pointwise_row(one))
+
+
+class TestDeclaredCells:
+    """Datapoints a model declares to share a cell share ``pointwise_row`` bits."""
+
+    @given(
+        st.sampled_from(["nb2"] + [f"voting-{v}" for v in models.HIER_VARIANTS]),
+        st.integers(1, 8),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cells_are_bitwise_equal(self, name, rows, data):
+        model = BUILT_IN_MODELS[name]
+        _, first, inverse = np.unique(model.cells, return_index=True, return_inverse=True)
+        assert first.size < model.data_count  # some datapoints share a cell
+        offsets = data.draw(
+            hnp.arrays(np.float64, (rows, model.dim), elements=st.floats(-3.0, 3.0))
+        )
+        theta = model.transform.constrain(model.transform.unconstrain(model.prior_mean) + offsets)
+        pointwise = model.pointwise_row(theta)
+        # Each datapoint against the first datapoint of its cell.
+        assert same_bits(pointwise, pointwise[:, first[inverse]])

@@ -429,6 +429,9 @@ def test_functions_written_for_one_theta_are_refused():
     draws = pk.posterior_draws_from(np.array([[0.1], [0.2], [0.3]]), 1.0, 0)
     with pytest.raises(ValueError, match=r"pointwise_row returned shape \(1,\) .* \(3, 1\)"):
         pk.loglik_matrix(model, draws)
+    # So is a cell label list that does not label each datapoint once.
+    with pytest.raises(ValueError, match=r"cells has shape \(2,\) for 1 datapoints"):
+        pk.loglik_matrix(dataclasses.replace(model, cells=np.array([0, 0])), draws)
     with pytest.raises(ValueError, match=r"pointwise_row returned shape \(1,\) .* \(1, 1\)"):
         pointwise_gradient(model, 0, np.array([0.3]))
 
@@ -620,11 +623,15 @@ class TestLogLikMatrixFromDraws:
         tracemalloc.start()
         try:
             mat = pk.loglik_matrix(model, draws)
+            pk.summarize(mat)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # One column per cell: S x C is 250 x 64 here, against S x N = 250 x 4000.
+        # tracemalloc measured about 5 S x C (the kernel's temporaries; numpy 2.4).
+        cell_bytes = 250 * np.unique(model.cells).size * 8
+        assert peak <= 8 * cell_bytes
         assert mat.values.shape == (250, 4000)
-        assert peak <= 1.5 * mat.values.nbytes
         assert not mat.values.flags.writeable
 
     def test_entries_and_row_sums(self):
@@ -658,19 +665,35 @@ class TestLogLikMatrixFromDraws:
             x = th[..., 0]
             return np.stack([np.where(x > 0.8, np.nan, 0.0), np.where(x > 0.5, np.nan, -1.0)], -1)
 
-        model = pk.ModelSpec(
-            name="nan-row",
-            transform=BlockTransform([IdentityBlock(1)]),
-            log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
-            log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
-            pointwise_row=row,
-            data_count=2,
-            datapoint_ids=("a", "b"),
-            prior_mean=np.array([0.0]),
-        )
+        # Cells 4 and 2, first seen at datapoints 2 and 4, are NaN from draw 1
+        # on; sorted labels or column numbers would name datapoint 4 or 1.
+        def cell_row(th):
+            x = th[..., 0]
+            ok = np.zeros_like(x)
+            b, c = (np.where(x > 0.5, np.nan, v) for v in (-1.0, -2.0))
+            return np.stack([ok, ok, b, b, c], -1)
+
+        def nan_model(pointwise_row, n, cells=None):
+            return pk.ModelSpec(
+                name="nan-row",
+                transform=BlockTransform([IdentityBlock(1)]),
+                log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
+                log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
+                pointwise_row=pointwise_row,
+                data_count=n,
+                datapoint_ids=tuple("abcde"[:n]),
+                prior_mean=np.array([0.0]),
+                cells=cells,
+            )
+
         draws = pk.posterior_draws_from(np.array([[0.1], [0.7], [0.9]]), 1.0, 0)
         with pytest.raises(pk.SamplerError, match=r"at draw 1, datapoint 1$"):
-            pk.loglik_matrix(model, draws)
+            pk.loglik_matrix(nan_model(row, 2), draws)
+        # The same message as the full S x N scan of the model without cells.
+        message = r"^NaN log-likelihood at draw 1, datapoint 2$"
+        for cells in ([9, 9, 4, 4, 2], None):
+            with pytest.raises(pk.SamplerError, match=message):
+                pk.loglik_matrix(nan_model(cell_row, 5, cells), draws)
 
     @pytest.mark.parametrize("bad, name", [(np.inf, r"\+inf"), (-np.inf, "-inf")])
     def test_infinite_entry_is_a_sampler_error(self, bad, name):
