@@ -40,8 +40,8 @@ def main():
         args.draws, seed=args.seed,
     )
     beta = draws.draws[:, 0]
-    w_low = pk.wapdi(gamma_logpdf(x_low, 5.0, beta))
-    w_high = pk.wapdi(gamma_logpdf(args.x_high, 5.0, beta))
+    columns = gamma_logpdf(np.array([x_low, args.x_high]), 5.0, beta[:, None])
+    w_low, w_high = (s.wapdi for s in pk.summarize(pk.LogLikMatrix(columns)))
 
     print(f"\npredictive mode at x = {mode:.3f}")
     print(f"log p(x={x_low:.3f} | data) = {predictive(x_low):.6f}")

@@ -105,8 +105,9 @@ def _add_sampler_args(p: argparse.ArgumentParser) -> None:
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
-    p.add_argument("--data", default=None, help="input dataset CSV (model-specific)")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--data", default=None, help="input dataset CSV (model-specific)")
+    source.add_argument(
         "--synthetic",
         type=_positive_int,
         default=None,
@@ -217,8 +218,6 @@ def _build_model(cfg: RunConfig) -> _BuiltModel:
     if cfg.model == "toy-gamma":
         if cfg.data:
             data = reportio.read_values_csv(cfg.data)
-            if np.any(data <= 0):
-                raise reportio.InputFormatError(f"{cfg.data}: values must be > 0")
             source = cfg.data
         else:
             n = 10 if cfg.synthetic is None else cfg.synthetic

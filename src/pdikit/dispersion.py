@@ -10,12 +10,11 @@ columns into a C-ordered (columns x draws) array, sorts each row and shifts
 it by its max. Every moment is then a reduction along the contiguous last
 axis, which numpy sums in the same pairwise order as a lone 1-D column.
 Sorting makes each row independent of the draw order, so every estimator is
-bitwise-invariant under permutation of the posterior draws, and the
-single-column functions (the same kernel on one column) agree bitwise with
-``summarize``. ``summarize`` runs the kernel over blocks of about
-``BLOCK_CELLS`` cells; degenerate columns are handled by masks. A matrix
-whose datapoints share columns (see ``LogLikMatrix``) runs the kernel once
-per distinct column.
+bitwise-invariant under permutation of the posterior draws, and a column
+gets the same bits alone (as a one-column matrix) as inside any matrix.
+``summarize`` runs the kernel over blocks of about ``BLOCK_CELLS`` cells;
+degenerate columns are handled by masks. A matrix whose datapoints share
+columns (see ``LogLikMatrix``) runs the kernel once per distinct column.
 """
 
 from __future__ import annotations
@@ -33,14 +32,7 @@ __all__ = [
     "ReportRow",
     "MismatchReport",
     "GroupStats",
-    "log_posterior_predictive",
     "log_posterior_predictive_mcse",
-    "mean_log_lik",
-    "var_log_lik",
-    "log_var_lik",
-    "wapdi",
-    "pdi_ratio",
-    "waic",
     "summarize",
     "rank_report",
     "group_aggregate",
@@ -76,8 +68,8 @@ class LogLikMatrix:
     It is stored as S x C distinct columns, in order of their first
     datapoint, plus each datapoint's column among them: ``loglik_matrix``
     stores one column per model cell (see ``ModelSpec``), the constructor and
-    ``read_loglik_csv`` every datapoint's own (C = N). ``summarize`` and
-    ``waic`` score each stored column once.
+    ``read_loglik_csv`` every datapoint's own (C = N). ``summarize`` scores
+    each stored column once.
 
     ``values`` is the read-only S x N array. The constructor copies it, so
     the caller's array stays writeable; ``read_loglik_csv`` and
@@ -235,7 +227,7 @@ def _finite_mean(values) -> tuple[float, int]:
 
 def _var_rows(rows: np.ndarray, row_mean: np.ndarray) -> np.ndarray:
     # Sample variance (S-1 divisor) of each row: np.var(ddof=1)'s arithmetic,
-    # without its warning for S = 1 (the result is then NaN and unused).
+    # from the row means already at hand.
     d = rows - row_mean[:, None]
     d *= d
     return d.sum(axis=1) / (rows.shape[1] - 1)
@@ -302,92 +294,23 @@ def _summaries(k: dict[str, np.ndarray]) -> list[PointwiseSummary]:
     return out
 
 
-def _as_column(column, min_draws: int = 1) -> np.ndarray:
-    col = np.asarray(column, dtype=np.float64)
-    if col.ndim != 1:
-        raise ValueError("expected a 1-D column of log-likelihood values")
-    if col.size == 0:
-        raise ValueError("empty log-likelihood column")
-    if col.size < min_draws:
-        raise ValueError(f"need at least {min_draws} draws, got {col.size}")
-    if np.isnan(col).any():
-        raise ValueError("NaN in log-likelihood column")
-    if not np.isfinite(col).all():
-        raise ValueError("non-finite log-likelihood in column")
-    return col
-
-
-def _column_field(column, field: str, min_draws: int = 2):
-    col = _as_column(column, min_draws)
-    return float(_dispersion_rows(col[:, None])[field][0])
-
-
-def log_posterior_predictive(column) -> float:
-    """log of the posterior-draw average of exp(column), via shifted log-sum-exp.
-
-    This is log mu(n): the log posterior predictive density of datapoint n
-    estimated from S draws. Exact for constant columns by construction.
-    """
-    return _column_field(column, "log_mu", min_draws=1)
-
-
 def log_posterior_predictive_mcse(column) -> float:
-    """Standard error of ``log_posterior_predictive`` under i.i.d. draws.
+    """Standard error of a column's ``log_mu`` under i.i.d. draws.
 
     Delta method on the shifted linear-domain mean: se(log mu) ~= sd(w) /
     (mean(w) * sqrt(S)) with w = exp(column - max). Only meaningful when the
     draws are independent (exact samplers); MCMC draws need batching instead.
     """
-    col = np.sort(_as_column(column, min_draws=2))
+    col = np.asarray(column, dtype=np.float64)
+    if col.ndim != 1:
+        raise ValueError("expected a 1-D column of log-likelihood values")
+    if col.size < 2:
+        raise ValueError(f"need at least 2 draws, got {col.size}")
+    if not np.isfinite(col).all():
+        raise ValueError("non-finite log-likelihood in column")
+    col = np.sort(col)
     w = np.exp(col - col[-1])
     return float(np.std(w, ddof=1) / (np.mean(w) * np.sqrt(col.size)))
-
-
-def mean_log_lik(column) -> float:
-    """Posterior mean of the log-likelihood, mu_log(n)."""
-    return _column_field(column, "mu_log", min_draws=1)
-
-
-def var_log_lik(column) -> float:
-    """Sample variance (S-1 divisor) of the log-likelihood, sigma2_log(n)."""
-    return _column_field(column, "sigma2_log")
-
-
-def log_var_lik(column) -> float:
-    """log of the sample variance of the linear-domain likelihood.
-
-    Computed fully shifted: with m = max(column), returns
-    2m + log(var(exp(column - m))). Returns -inf (the degenerate marker) when
-    the shifted variance is exactly zero, i.e. all draws agree.
-    """
-    return _column_field(column, "log_sigma2")
-
-
-def wapdi(column) -> float:
-    """var_log_lik / log_posterior_predictive for one column.
-
-    Negative for well-behaved columns (log mu < 0, positive variance);
-    small magnitudes mean a well-modeled point. Returns NaN when |log mu| <
-    ``NEAR_SINGULAR_EPS`` -- a near-singular denominator is flagged rather
-    than amplified.
-    """
-    return _column_field(column, "wapdi")
-
-
-def pdi_ratio(column) -> float:
-    """log-domain variance-to-mean ratio: log sigma2(n) - log mu(n).
-
-    The degenerate -inf marker from ``log_var_lik`` propagates through.
-    """
-    return _column_field(column, "pdi_ratio_log")
-
-
-def _kernel_blocks(matrix: LogLikMatrix):
-    """``_dispersion_rows`` over blocks of about ``BLOCK_CELLS`` cells of the stored columns."""
-    columns = matrix._columns
-    step = max(1, BLOCK_CELLS // matrix.draw_count)
-    for start in range(0, columns.shape[1], step):
-        yield _dispersion_rows(columns[:, start : start + step])
 
 
 def summarize(matrix: LogLikMatrix) -> list[PointwiseSummary]:
@@ -395,27 +318,18 @@ def summarize(matrix: LogLikMatrix) -> list[PointwiseSummary]:
 
     Columns are independent; degeneracies are recorded per row via flags and
     never abort the rest of the matrix. Each stored column is summarized
-    once; datapoints that share it share its summary.
+    once, in blocks of about ``BLOCK_CELLS`` cells; datapoints that share it
+    share its summary. A single column is scored as a one-column matrix:
+    ``summarize(LogLikMatrix(col[:, None]))[0]``.
     """
+    columns = matrix._columns
+    step = max(1, BLOCK_CELLS // matrix.draw_count)
     out: list[PointwiseSummary] = []
-    for k in _kernel_blocks(matrix):
-        out += _summaries(k)
+    for start in range(0, columns.shape[1], step):
+        out += _summaries(_dispersion_rows(columns[:, start : start + step]))
     if matrix._column_of is not None:
         out = [out[c] for c in matrix._column_of.tolist()]
     return out
-
-
-def waic(matrix: LogLikMatrix) -> tuple[float, np.ndarray]:
-    """WAIC as the mean over datapoints of t(n) = -log mu(n) + sigma2_log(n).
-
-    Returns (scalar, per-point terms). Zero-variance columns contribute a
-    zero penalty term; non-finite terms (flagged columns) are left out of the
-    scalar.
-    """
-    terms = np.concatenate([k["waic_term"] for k in _kernel_blocks(matrix)])
-    if matrix._column_of is not None:
-        terms = terms[matrix._column_of]
-    return _finite_mean(terms)[0], terms
 
 
 def rank_report(

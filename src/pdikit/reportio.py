@@ -353,7 +353,7 @@ def read_group_labels_csv(path) -> dict[str, str]:
 
 
 def read_values_csv(path) -> np.ndarray:
-    """One positive number per line; a single leading header line is allowed."""
+    """One positive finite number per line; a single leading header line is allowed."""
     path = Path(path)
     rows = [(line_no, line.strip()) for line_no, line in _data_lines(path)]
     if not rows:
@@ -364,7 +364,15 @@ def read_values_csv(path) -> np.ndarray:
         rows = rows[1:]
     if not rows:
         raise InputFormatError(f"{path}: no numeric rows")
-    return np.array([_parse_float(path, line, line_no, 1) for line_no, line in rows])
+    values = []
+    for line_no, line in rows:
+        x = _parse_float(path, line, line_no, 1)
+        if not 0.0 < x < math.inf:
+            raise InputFormatError(
+                f"{path}: line {line_no}: {line!r} is not a positive finite number"
+            )
+        values.append(x)
+    return np.array(values)
 
 
 _VOTE_REQUIRED = ("vote", "sex", "race", "state")

@@ -10,7 +10,8 @@ magnitude, which is exactly what the exact index responds to.
 Gradients come from central finite differences so models only need to expose
 likelihood evaluations; the D points stepped up and the D stepped down go to
 the model as two batches. The estimate of every datapoint is one array
-expression over the N x D Jacobian, and one datapoint is its one-row case.
+expression over the N x D Jacobian; ``compare_exact_vs_taylor`` is the one
+public way to get it, for every datapoint of a model at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "TaylorRow",
     "TaylorReport",
     "pointwise_gradient",
-    "wapdi_taylor",
     "compare_exact_vs_taylor",
 ]
 
@@ -91,18 +91,6 @@ def _taylor(jac, posterior_var, log_mu) -> np.ndarray:
         value = np.sum(jac * jac * posterior_var, axis=-1) / log_mu
         singular = (np.abs(log_mu) < NEAR_SINGULAR_EPS) | ~np.isfinite(jac).all(axis=-1)
         return np.where(singular, np.nan, value)
-
-
-def wapdi_taylor(
-    model: ModelSpec,
-    n: int,
-    posterior_mean,
-    posterior_var,
-    log_mu_n: float,
-) -> float:
-    """First-order WAPDI estimate of one datapoint; see ``_taylor``."""
-    g = pointwise_gradient(model, n, posterior_mean)
-    return float(_taylor(g, posterior_var, log_mu_n))
 
 
 def compare_exact_vs_taylor(

@@ -143,54 +143,47 @@ class BlockTransform:
     blocks: tuple
     unconstrained_dim: int = field(init=False, repr=False, compare=False)
     constrained_dim: int = field(init=False, repr=False, compare=False)
-    # (block, unconstrained slice, constrained slice) for each block
-    _layout: tuple = field(init=False, repr=False, compare=False)
-    # The same for constrain, with each run of adjacent identity blocks, and
-    # each run of adjacent positive blocks, merged into one entry that spans
-    # the run: one slice copy or one exp per run.
+    # (block, unconstrained slice, constrained slice) for each run of blocks:
+    # a run of adjacent identity blocks, or of adjacent positive blocks, is
+    # one block of the run's size; every other block is a run of its own.
     _runs: tuple = field(init=False, repr=False, compare=False)
     # (block, unconstrained slice) of each block with a log-Jacobian that is
-    # not identically zero, in block order
+    # not identically zero, in block order, unmerged: a merged run would sum
+    # its terms in another order and change the last bits of the total.
     _scored: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, blocks):
         blocks = tuple(blocks)
-        layout, runs = [], []
+        runs, scored = [], []
         i = j = 0
         for b in blocks:
             zs, ts = slice(i, i + b.unconstrained_size), slice(j, j + b.constrained_size)
-            layout.append((b, zs, ts))
+            if not isinstance(b, IdentityBlock):
+                scored.append((b, zs))
+            i, j = zs.stop, ts.stop
             mergeable = isinstance(b, (IdentityBlock, PositiveBlock)) and bool(runs)
             if mergeable and type(runs[-1][0]) is type(b):
-                _, run_zs, run_ts = runs.pop()
-                zs, ts = slice(run_zs.start, zs.stop), slice(run_ts.start, ts.stop)
+                run, run_zs, run_ts = runs.pop()
+                b = type(b)(run.size + b.size)
+                zs, ts = slice(run_zs.start, i), slice(run_ts.start, j)
             runs.append((b, zs, ts))
-            i += b.unconstrained_size
-            j += b.constrained_size
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "unconstrained_dim", i)
         object.__setattr__(self, "constrained_dim", j)
-        object.__setattr__(self, "_layout", tuple(layout))
         object.__setattr__(self, "_runs", tuple(runs))
-        scored = tuple((b, zs) for b, zs, _ in layout if not isinstance(b, IdentityBlock))
-        object.__setattr__(self, "_scored", scored)
+        object.__setattr__(self, "_scored", tuple(scored))
 
     def constrain(self, z):
         z = np.asarray(z, dtype=np.float64)
         out = np.empty(z.shape[:-1] + (self.constrained_dim,))
         for b, zs, ts in self._runs:
-            if isinstance(b, IdentityBlock):
-                out[..., ts] = z[..., zs]
-            elif isinstance(b, PositiveBlock):
-                np.exp(z[..., zs], out=out[..., ts])
-            else:
-                out[..., ts] = b.constrain(z[..., zs])
+            out[..., ts] = b.constrain(z[..., zs])
         return out
 
     def unconstrain(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         out = np.empty(self.unconstrained_dim)
-        for b, zs, ts in self._layout:
+        for b, zs, ts in self._runs:
             out[zs] = b.unconstrain(theta[ts])
         return out
 

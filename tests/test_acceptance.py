@@ -17,11 +17,16 @@ from scipy.stats import spearmanr
 import pdikit as pk
 from pdikit import datasets, models
 from pdikit.cli import main
-from pdikit.taylor import compare_exact_vs_taylor, pointwise_gradient, wapdi_taylor
+from pdikit.taylor import compare_exact_vs_taylor, pointwise_gradient
 
 
 def gamma_logpdf(x, shape, rate):
     return shape * np.log(rate) - gammaln(shape) + (shape - 1) * np.log(x) - rate * x
+
+
+def summarize_one(col):
+    """Summary of a single column, through an S x 1 matrix."""
+    return pk.summarize(pk.LogLikMatrix(col[:, None], allow_degenerate=True))[0]
 
 
 PRESIDENTS_SEED = 42
@@ -96,19 +101,20 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_hand_fixtures():
     col = np.log([0.2, 0.4])
-    assert pk.log_posterior_predictive(col) == pytest.approx(-1.203973, abs=1e-6)
-    assert pk.mean_log_lik(col) == pytest.approx(-1.262864, abs=1e-6)
-    assert pk.var_log_lik(col) == pytest.approx(0.240227, abs=1e-6)
-    assert pk.log_var_lik(col) == pytest.approx(-3.912023, abs=1e-6)
-    assert pk.wapdi(col) == pytest.approx(-0.199529, abs=1e-6)
-    assert pk.pdi_ratio(col) == pytest.approx(-2.708050, abs=1e-6)
-    scalar, terms = pk.waic(pk.LogLikMatrix(col[:, None]))
-    assert terms[0] == pytest.approx(1.444200, abs=1e-6)
-    assert scalar == pytest.approx(1.444200, abs=1e-6)
+    s = summarize_one(col)
+    assert s.log_mu == pytest.approx(-1.203973, abs=1e-6)
+    assert s.mu_log == pytest.approx(-1.262864, abs=1e-6)
+    assert s.sigma2_log == pytest.approx(0.240227, abs=1e-6)
+    assert s.log_sigma2 == pytest.approx(-3.912023, abs=1e-6)
+    assert s.wapdi == pytest.approx(-0.199529, abs=1e-6)
+    assert s.pdi_ratio_log == pytest.approx(-2.708050, abs=1e-6)
+    assert s.waic_term == pytest.approx(1.444200, abs=1e-6)
+    report = pk.rank_report([s], ["a"])
+    assert report.waic == pytest.approx(1.444200, abs=1e-6)
     # three-point column: variance 0.640604 over log mean 0.375
-    col3 = np.log([0.5, 0.5, 0.125])
-    assert pk.var_log_lik(col3) == pytest.approx(0.640604, abs=1e-6)
-    assert pk.wapdi(col3) == pytest.approx(-0.653125, abs=1e-6)
+    s3 = summarize_one(np.log([0.5, 0.5, 0.125]))
+    assert s3.sigma2_log == pytest.approx(0.640604, abs=1e-6)
+    assert s3.wapdi == pytest.approx(-0.653125, abs=1e-6)
 
 
 def test_criterion_3_toy_triangle(toy_posterior):
@@ -124,7 +130,7 @@ def test_criterion_3_toy_triangle(toy_posterior):
             np.inf,
         )
         col = gamma_logpdf(x, 5.0, beta)
-        mc = pk.log_posterior_predictive(col)
+        mc = summarize_one(col).log_mu
         se = pk.log_posterior_predictive_mcse(col)
         assert closed == pytest.approx(math.log(integral), abs=1e-8)
         assert abs(mc - closed) < 3 * se
@@ -144,8 +150,8 @@ def test_criterion_4_wapdi_order_of_magnitude_separation(toy_posterior):
     x_low = brentq(lambda x: predictive(x) - target, 1e-9, mode, xtol=1e-12)
     assert x_low < mode
     assert abs(predictive(x_low) - target) < 1e-3
-    w_low = pk.wapdi(gamma_logpdf(x_low, 5.0, beta))
-    w_high = pk.wapdi(gamma_logpdf(x_high, 5.0, beta))
+    w_low = summarize_one(gamma_logpdf(x_low, 5.0, beta)).wapdi
+    w_high = summarize_one(gamma_logpdf(x_high, 5.0, beta)).wapdi
     assert w_low < 0 and w_high < 0
     assert w_high / w_low >= 2.0
 
@@ -200,7 +206,8 @@ def test_criterion_6_lemma_diagnostics(toy_posterior):
         datapoint_ids=("x",),
         prior_mean=np.array([1.0]),
     )
-    assert wapdi_taylor(flat, 0, np.array([1.0]), draws.posterior_var, -2.0) == 0.0
+    flat_rep = compare_exact_vs_taylor(flat, draws, pk.loglik_matrix(flat, draws))
+    assert flat_rep.rows[0].wapdi_taylor == 0.0
 
 
 def test_criterion_7_property_suites():

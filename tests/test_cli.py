@@ -468,6 +468,36 @@ def test_degenerate_fit_suggests_no_option(command, tmp_path, capsys, monkeypatc
     )
 
 
+@pytest.mark.parametrize("command, model", [("fit", "toy-gamma"), ("check-lemma", "voting-base")])
+def test_data_and_synthetic_together_is_a_usage_error(command, model, tmp_path, capsys):
+    # Refused before the file is read, so its content does not matter.
+    data = tmp_path / "data.csv"
+    data.write_text("1.5\n")
+    out = tmp_path / "o"
+    argv = [command, "--model", model, "--data", str(data), "--synthetic", "50"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "pdikit: error: argument --synthetic: not allowed with argument --data\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+def test_toy_data_must_be_positive_and_finite(bad, tmp_path, capsys):
+    data = tmp_path / "x.csv"
+    data.write_text(f"x\n1.5\n# c\n{bad}\n2.0\n")
+    out = tmp_path / "o"
+    assert main(["fit", "--model", "toy-gamma", "--data", str(data), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        f"pdikit: error: {data}: line 4: '{bad}' is not a positive finite number\n",
+    )
+    assert not out.exists()
+
+
 class TestReportCommand:
     def test_top_k_rows(self, matrix_file, tmp_path, capsys):
         out = tmp_path / "res"

@@ -19,6 +19,13 @@ def summarize_one(col):
     return pk.summarize(pk.LogLikMatrix(col[:, None], allow_degenerate=True))[0]
 
 
+def waic(matrix):
+    """The WAIC scalar and every datapoint's term, through ``summarize``."""
+    summaries = pk.summarize(matrix)
+    terms = np.array([s.waic_term for s in summaries])
+    return pk.rank_report(summaries, matrix.datapoint_ids).waic, terms
+
+
 def naive_column(col):
     """Linear-domain oracle: safe only for small matrices with mild entries."""
     lik = np.exp(col)
@@ -44,57 +51,54 @@ finite_columns = st.lists(
 
 class TestColumnEstimators:
     def test_log_posterior_predictive_hand_value(self):
-        assert pk.log_posterior_predictive(LOG_2_4) == pytest.approx(
-            math.log(0.3), abs=1e-12
-        )
-        assert pk.log_posterior_predictive(LOG_2_4) == pytest.approx(-1.203973, abs=1e-6)
-
-    def test_single_draw_identity(self):
-        assert pk.log_posterior_predictive([-3.7]) == -3.7
+        assert summarize_one(LOG_2_4).log_mu == pytest.approx(math.log(0.3), abs=1e-12)
+        assert summarize_one(LOG_2_4).log_mu == pytest.approx(-1.203973, abs=1e-6)
 
     def test_extreme_shift_no_overflow(self):
-        assert pk.log_posterior_predictive([-1000.0, -1000.0]) == -1000.0
-        assert pk.log_posterior_predictive([700.0, 700.0]) == 700.0
+        assert summarize_one(np.array([-1000.0, -1000.0])).log_mu == -1000.0
+        assert summarize_one(np.array([700.0, 700.0])).log_mu == 700.0
 
     def test_mean_log_lik_hand_value(self):
-        assert pk.mean_log_lik(LOG_2_4) == pytest.approx(math.log(0.08) / 2, abs=1e-12)
-        assert pk.mean_log_lik(LOG_2_4) == pytest.approx(-1.262864, abs=1e-6)
+        mu_log = summarize_one(LOG_2_4).mu_log
+        assert mu_log == pytest.approx(math.log(0.08) / 2, abs=1e-12)
+        assert mu_log == pytest.approx(-1.262864, abs=1e-6)
 
     def test_mean_log_lik_constant(self):
-        assert pk.mean_log_lik([-2.5, -2.5, -2.5]) == -2.5
+        assert summarize_one(np.array([-2.5, -2.5, -2.5])).mu_log == -2.5
 
     def test_var_log_lik_hand_value(self):
         expected = math.log(2.0) ** 2 / 2.0
-        assert pk.var_log_lik(LOG_2_4) == pytest.approx(expected, abs=1e-12)
-        assert pk.var_log_lik(LOG_2_4) == pytest.approx(0.240227, abs=1e-6)
+        assert summarize_one(LOG_2_4).sigma2_log == pytest.approx(expected, abs=1e-12)
+        assert summarize_one(LOG_2_4).sigma2_log == pytest.approx(0.240227, abs=1e-6)
 
     def test_var_log_lik_constant_exact_zero(self):
-        assert pk.var_log_lik([-1.3, -1.3, -1.3, -1.3]) == 0.0
+        assert summarize_one(np.array([-1.3, -1.3, -1.3, -1.3])).sigma2_log == 0.0
 
     def test_var_log_lik_shift_invariant(self):
         rng = np.random.default_rng(0)
         col = rng.normal(-3, 1, size=30)
-        a, b = pk.var_log_lik(col), pk.var_log_lik(col + 123.456)
+        a, b = summarize_one(col).sigma2_log, summarize_one(col + 123.456).sigma2_log
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_log_var_lik_hand_value(self):
-        assert pk.log_var_lik(LOG_2_4) == pytest.approx(math.log(0.02), abs=1e-12)
-        assert pk.log_var_lik(LOG_2_4) == pytest.approx(-3.912023, abs=1e-6)
+        log_sigma2 = summarize_one(LOG_2_4).log_sigma2
+        assert log_sigma2 == pytest.approx(math.log(0.02), abs=1e-12)
+        assert log_sigma2 == pytest.approx(-3.912023, abs=1e-6)
 
     def test_log_var_lik_degenerate(self):
-        assert pk.log_var_lik([-4.0, -4.0]) == -np.inf
+        assert summarize_one(np.array([-4.0, -4.0])).log_sigma2 == -np.inf
 
     def test_log_var_lik_scale_shift(self):
         col = LOG_2_4
-        assert pk.log_var_lik(col - 500.0) == pytest.approx(
-            pk.log_var_lik(col) - 1000.0, rel=1e-12
+        assert summarize_one(col - 500.0).log_sigma2 == pytest.approx(
+            summarize_one(col).log_sigma2 - 1000.0, rel=1e-12
         )
 
     def test_wapdi_hand_value(self):
-        assert pk.wapdi(LOG_2_4) == pytest.approx(-0.199529, abs=1e-6)
+        assert summarize_one(LOG_2_4).wapdi == pytest.approx(-0.199529, abs=1e-6)
 
     def test_wapdi_zero_variance(self):
-        assert pk.wapdi([-0.5, -0.5, -0.5]) == 0.0
+        assert summarize_one(np.array([-0.5, -0.5, -0.5])).wapdi == 0.0
 
     def test_wapdi_three_point_hand_value(self):
         # var of {ln .5, ln .5, ln .125} is 0.640604 (S-1 divisor); the ratio
@@ -102,59 +106,61 @@ class TestColumnEstimators:
         col = np.log([0.5, 0.5, 0.125])
         var = np.var(col, ddof=1)
         assert var == pytest.approx(0.640604, abs=1e-6)
-        assert pk.wapdi(col) == pytest.approx(var / math.log(0.375), rel=1e-12)
-        assert pk.wapdi(col) == pytest.approx(-0.653125, abs=1e-6)
+        assert summarize_one(col).wapdi == pytest.approx(var / math.log(0.375), rel=1e-12)
+        assert summarize_one(col).wapdi == pytest.approx(-0.653125, abs=1e-6)
 
     def test_wapdi_near_singular_flagged(self):
         # log mu ~ 0: likelihoods straddling 1
         col = np.log([1.0 - 1e-12, 1.0 + 1e-12])
-        assert math.isnan(pk.wapdi(col))
+        assert math.isnan(summarize_one(col).wapdi)
 
     def test_pdi_ratio_hand_value(self):
-        assert pk.pdi_ratio(LOG_2_4) == pytest.approx(math.log(0.02 / 0.3), abs=1e-12)
-        assert pk.pdi_ratio(LOG_2_4) == pytest.approx(-2.708050, abs=1e-6)
+        ratio = summarize_one(LOG_2_4).pdi_ratio_log
+        assert ratio == pytest.approx(math.log(0.02 / 0.3), abs=1e-12)
+        assert ratio == pytest.approx(-2.708050, abs=1e-6)
 
     def test_pdi_ratio_degenerate_propagates(self):
-        assert pk.pdi_ratio([-2.0, -2.0]) == -np.inf
+        assert summarize_one(np.array([-2.0, -2.0])).pdi_ratio_log == -np.inf
 
     def test_pdi_ratio_scaling_identity(self):
         rng = np.random.default_rng(3)
         col = rng.normal(-4, 0.7, size=25)
         log_k = 2.345
-        assert pk.pdi_ratio(col + log_k) == pytest.approx(
-            pk.pdi_ratio(col) + log_k, rel=1e-10
+        assert summarize_one(col + log_k).pdi_ratio_log == pytest.approx(
+            summarize_one(col).pdi_ratio_log + log_k, rel=1e-10
         )
 
     def test_waic_flag_mode_leaves_out_nonfinite_terms(self):
         m = pk.LogLikMatrix(
             [[-np.inf, -1.0], [-2.0, -1.5]], allow_degenerate=True
         )
-        scalar, terms = pk.waic(m)
+        scalar, terms = waic(m)
         assert math.isnan(terms[0]) and not math.isnan(terms[1])
         assert scalar == terms[1]
 
     def test_rejects_empty_and_nan(self):
         with pytest.raises(ValueError):
-            pk.log_posterior_predictive([])
+            pk.log_posterior_predictive_mcse([])
         with pytest.raises(ValueError):
-            pk.log_posterior_predictive([0.0, float("nan")])
+            pk.log_posterior_predictive_mcse([0.0, float("nan")])
         with pytest.raises(ValueError):
-            pk.var_log_lik([-1.0])
+            pk.log_posterior_predictive_mcse([-1.0])
 
 
 class TestJensen:
     @given(finite_columns)
     @settings(max_examples=200)
     def test_log_mu_dominates_mu_log(self, col):
-        gap = pk.log_posterior_predictive(col) - pk.mean_log_lik(col)
-        assert gap >= -1e-12 * max(1.0, abs(pk.mean_log_lik(col)))
-        assert pk.var_log_lik(col) >= 0.0
+        s = summarize_one(col)
+        gap = s.log_mu - s.mu_log
+        assert gap >= -1e-12 * max(1.0, abs(s.mu_log))
+        assert s.sigma2_log >= 0.0
 
     def test_equality_iff_constant(self):
-        col = np.full(7, -3.25)
-        assert pk.log_posterior_predictive(col) == pk.mean_log_lik(col)
-        col2 = np.array([-3.0, -2.0])
-        assert pk.log_posterior_predictive(col2) > pk.mean_log_lik(col2)
+        s = summarize_one(np.full(7, -3.25))
+        assert s.log_mu == s.mu_log
+        s2 = summarize_one(np.array([-3.0, -2.0]))
+        assert s2.log_mu > s2.mu_log
 
 
 class TestOracleEquivalence:
@@ -210,8 +216,8 @@ class TestMonteCarloConsistency:
         for rep in range(50):
             rng = np.random.default_rng(1000 + rep)
             z = rng.normal(-2.0, 1.0, size=40000)
-            err_small.append(abs(pk.log_posterior_predictive(z[:100]) - true))
-            err_big.append(abs(pk.log_posterior_predictive(z) - true))
+            err_small.append(abs(summarize_one(z[:100]).log_mu - true))
+            err_big.append(abs(summarize_one(z).log_mu - true))
         assert np.median(err_big) < np.median(err_small)
 
 
@@ -235,11 +241,10 @@ class TestExtremeMagnitudes:
     def test_huge_span_within_column(self):
         # one dominant draw, the rest hopeless: mean is carried by the max
         col = np.array([-2.0, -900.0, -1500.0])
-        assert pk.log_posterior_predictive(col) == pytest.approx(
-            -2.0 + math.log(1.0 / 3.0), abs=1e-12
-        )
-        assert pk.var_log_lik(col) > 0
-        assert np.isfinite(pk.log_var_lik(col))
+        s = summarize_one(col)
+        assert s.log_mu == pytest.approx(-2.0 + math.log(1.0 / 3.0), abs=1e-12)
+        assert s.sigma2_log > 0
+        assert np.isfinite(s.log_sigma2)
 
 
 class TestMatrixAndSummaries:
@@ -276,7 +281,7 @@ class TestMatrixAndSummaries:
         for s in summaries[1:]:
             assert FLAG_ZERO_VARIANCE in s.flags
             assert s.wapdi == 0.0 and math.copysign(1.0, s.wapdi) == 1.0
-        assert math.copysign(1.0, pk.wapdi([-0.5, -0.5, -0.5])) == 1.0
+        assert math.copysign(1.0, summarize_one(np.full(3, -0.5)).wapdi) == 1.0
         report = pk.rank_report(summaries, ["a", "b", "c"])
         ranks = {r.datapoint_id: (r.rank_wapdi, r.rank_log_mu) for r in report.rows}
         assert ranks == {"a": (1, 2), "b": (3, 3), "c": (2, 1)}
@@ -362,30 +367,21 @@ class TestMatrixAndSummaries:
     def test_caller_array_unchanged(self):
         col = np.array([-1.0, -3.0, -2.0, -0.5])
         before = col.copy()
-        for fn in (
-            pk.log_posterior_predictive,
-            pk.log_posterior_predictive_mcse,
-            pk.mean_log_lik,
-            pk.var_log_lik,
-            pk.log_var_lik,
-            pk.wapdi,
-            pk.pdi_ratio,
-        ):
-            fn(col)
-            assert np.array_equal(col, before), fn.__name__
+        pk.log_posterior_predictive_mcse(col)
+        assert np.array_equal(col, before)
         m = pk.LogLikMatrix(col[:, None])
         assert pk.summarize(m) == [summarize_one(before)]
         assert np.array_equal(m.values[:, 0], before)
 
     def test_waic_2x1_fixture(self):
         m = pk.LogLikMatrix(LOG_2_4[:, None])
-        scalar, terms = pk.waic(m)
+        scalar, terms = waic(m)
         assert terms[0] == pytest.approx(1.444200, abs=1e-6)
         assert scalar == terms[0]
 
     def test_waic_constant_matrix(self):
         m = pk.LogLikMatrix(np.full((4, 2), -1.75))
-        scalar, terms = pk.waic(m)
+        scalar, terms = waic(m)
         assert scalar == pytest.approx(1.75, abs=1e-12)
         assert np.allclose(terms, 1.75)
 
@@ -394,15 +390,15 @@ class TestMatrixAndSummaries:
         values = np.random.default_rng(4).normal(-5.0, 1.0, size=(64, 10000))
         values[:, 4100] = -2.0  # a zero-variance column in the second block
         m = pk.LogLikMatrix(values)
-        scalar, terms = pk.waic(m)
+        scalar, terms = waic(m)
         want = np.array([s.waic_term for s in pk.summarize(m)])
         assert np.array_equal(terms.view(np.uint64), want.view(np.uint64))
         assert scalar == float(np.mean(want))
 
     def test_waic_identical_columns(self):
         col = LOG_2_4[:, None]
-        one, _ = pk.waic(pk.LogLikMatrix(col))
-        two, _ = pk.waic(pk.LogLikMatrix(np.hstack([col, col])))
+        one, _ = waic(pk.LogLikMatrix(col))
+        two, _ = waic(pk.LogLikMatrix(np.hstack([col, col])))
         assert one == pytest.approx(two, rel=1e-14)
 
 

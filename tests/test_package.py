@@ -1,6 +1,7 @@
 """The package surface: its public names, and what the CLI imports."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,17 @@ def test_public_names_are_unique_and_resolve():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(pdikit, name), name
+
+
+def test_readme_quick_start_runs():
+    # The README's first python block, run as written: a documented name that
+    # no longer exists fails here.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)[1]
+    namespace = {}
+    exec(block, namespace)
+    promised = next(line for line in block.splitlines() if "# 'a'" in line)
+    assert eval(promised.split("#")[0], namespace) == "a"
 
 
 def run_fresh(code: str) -> None:

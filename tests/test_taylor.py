@@ -10,11 +10,16 @@ from pdikit import datasets, models
 from pdikit.taylor import (
     _FD_STEP,
     _jacobian,
+    _taylor,
     compare_exact_vs_taylor,
     pointwise_gradient,
-    wapdi_taylor,
 )
 from pdikit.transforms import BlockTransform, IdentityBlock
+
+
+def taylor_one(model, n, posterior_mean, posterior_var, log_mu_n):
+    """First-order WAPDI of one datapoint: ``_taylor`` on its one-row gradient."""
+    return float(_taylor(pointwise_gradient(model, n, posterior_mean), posterior_var, log_mu_n))
 
 
 @pytest.fixture(scope="module")
@@ -96,30 +101,30 @@ class TestTaylorValue:
             datapoint_ids=("x",),
             prior_mean=np.zeros(2),
         )
-        v = wapdi_taylor(model, 0, np.array([0.3, -0.8]), np.array([2.0, 5.0]), -1.5)
+        v = taylor_one(model, 0, np.array([0.3, -0.8]), np.array([2.0, 5.0]), -1.5)
         assert v == 0.0
 
     def test_near_singular_log_mu_flagged(self, toy_setup):
         _, _, model, draws = toy_setup
-        v = wapdi_taylor(model, 0, draws.posterior_mean, draws.posterior_var, 1e-12)
+        v = taylor_one(model, 0, draws.posterior_mean, draws.posterior_var, 1e-12)
         assert math.isnan(v)
 
     def test_rapid_change_ordering(self, toy_setup):
         data, _, _, draws = toy_setup
         pair = models.gamma_toy_model(data, eval_points=[4.53, 15.0])
         mat = pk.loglik_matrix(pair, draws)
-        log_mus = [pk.log_posterior_predictive(mat.values[:, j]) for j in range(2)]
-        at_mode = wapdi_taylor(pair, 0, draws.posterior_mean, draws.posterior_var, log_mus[0])
-        at_tail = wapdi_taylor(pair, 1, draws.posterior_mean, draws.posterior_var, log_mus[1])
+        log_mus = [s.log_mu for s in pk.summarize(mat)]
+        at_mode = taylor_one(pair, 0, draws.posterior_mean, draws.posterior_var, log_mus[0])
+        at_tail = taylor_one(pair, 1, draws.posterior_mean, draws.posterior_var, log_mus[1])
         assert abs(at_mode) < abs(at_tail)
 
     def test_sign_agreement(self, toy_setup):
         _, _, model, draws = toy_setup
         mat = pk.loglik_matrix(model, draws)
-        for n in range(model.data_count):
-            log_mu = pk.log_posterior_predictive(mat.values[:, n])
+        for n, s in enumerate(pk.summarize(mat)):
+            log_mu = s.log_mu
             assert log_mu < 0
-            v = wapdi_taylor(model, n, draws.posterior_mean, draws.posterior_var, log_mu)
+            v = taylor_one(model, n, draws.posterior_mean, draws.posterior_var, log_mu)
             assert v <= 0
 
 
@@ -225,6 +230,6 @@ def test_table_order_ties_and_nan_and_one_row_case():
     log_mu = [s.log_mu for s in pk.summarize(mat)]
     for row in rep.rows:
         n = model.datapoint_ids.index(row.datapoint_id)
-        one = wapdi_taylor(model, n, draws.posterior_mean, draws.posterior_var, log_mu[n])
-        assert type(row.wapdi_taylor) is float and type(one) is float
+        one = taylor_one(model, n, draws.posterior_mean, draws.posterior_var, log_mu[n])
+        assert type(row.wapdi_taylor) is float
         assert np.array([row.wapdi_taylor]).view(np.uint64) == np.array([one]).view(np.uint64)
