@@ -41,7 +41,7 @@ def main():
     )
     beta = draws.draws[:, 0]
     columns = gamma_logpdf(np.array([x_low, args.x_high]), 5.0, beta[:, None])
-    w_low, w_high = (s.wapdi for s in pk.summarize(pk.LogLikMatrix(columns)))
+    w_low, w_high = pk.summarize(pk.LogLikMatrix(columns))["wapdi"].tolist()
 
     print(f"\npredictive mode at x = {mode:.3f}")
     print(f"log p(x={x_low:.3f} | data) = {predictive(x_low):.6f}")

@@ -12,9 +12,12 @@ axis, which numpy sums in the same pairwise order as a lone 1-D column.
 Sorting makes each row independent of the draw order, so every estimator is
 bitwise-invariant under permutation of the posterior draws, and a column
 gets the same bits alone (as a one-column matrix) as inside any matrix.
-``summarize`` runs the kernel over blocks of about ``BLOCK_CELLS`` cells;
-degenerate columns are handled by masks. A matrix whose datapoints share
-columns (see ``LogLikMatrix``) runs the kernel once per distinct column.
+``summarize`` runs the kernel over blocks of about ``BLOCK_CELLS`` cells
+and returns its arrays, one per quantity and one mask per degeneracy flag; a
+matrix whose datapoints share columns (see ``LogLikMatrix``) runs the kernel
+once per distinct column. ``rank_report`` builds each datapoint's
+``PointwiseSummary`` and ``ReportRow`` from those arrays, once, in rank
+order.
 """
 
 from __future__ import annotations
@@ -221,7 +224,7 @@ def _finite_mean(values) -> tuple[float, int]:
     """
     values = np.asarray(values, dtype=np.float64)
     kept = values[np.isfinite(values)]
-    mean = float(np.mean(kept)) if kept.size else _NAN
+    mean = float(np.mean(kept)) if kept.size else float("nan")
     return mean, values.size - kept.size
 
 
@@ -277,21 +280,6 @@ def _dispersion_rows(block: np.ndarray) -> dict[str, np.ndarray]:
 
 
 _FIELDS = tuple(f.name for f in fields(PointwiseSummary) if f.name != "flags")
-_NAN = float("nan")
-
-
-def _summaries(k: dict[str, np.ndarray]) -> list[PointwiseSummary]:
-    values = zip(*(k[f].tolist() for f in _FIELDS))
-    hits = zip(*(k[f].tolist() for f in _FLAGS))
-    out = []
-    for vals, hit in zip(values, hits):
-        flags = tuple(f for f, on in zip(_FLAGS, hit) if on)
-        if flags:
-            # NaN only appears in flagged rows; one shared NaN object lets
-            # equal summaries compare equal.
-            vals = [_NAN if v != v else v for v in vals]
-        out.append(PointwiseSummary(*vals, flags))
-    return out
 
 
 def log_posterior_predictive_mcse(column) -> float:
@@ -313,41 +301,46 @@ def log_posterior_predictive_mcse(column) -> float:
     return float(np.std(w, ddof=1) / (np.mean(w) * np.sqrt(col.size)))
 
 
-def summarize(matrix: LogLikMatrix) -> list[PointwiseSummary]:
-    """Apply every column estimator to each column of the matrix.
+def summarize(matrix: LogLikMatrix) -> dict[str, np.ndarray]:
+    """Every per-datapoint quantity of the matrix, as length-N arrays.
 
-    Columns are independent; degeneracies are recorded per row via flags and
-    never abort the rest of the matrix. Each stored column is summarized
-    once, in blocks of about ``BLOCK_CELLS`` cells; datapoints that share it
-    share its summary. A single column is scored as a one-column matrix:
-    ``summarize(LogLikMatrix(col[:, None]))[0]``.
+    Keys are the ``PointwiseSummary`` fields plus one boolean mask per flag,
+    each array in datapoint order. Columns are independent; degeneracies are
+    recorded in the masks and never abort the rest of the matrix. Each stored
+    column is summarized once, in blocks of about ``BLOCK_CELLS`` cells;
+    datapoints that share it share its entries. A single column is scored as
+    a one-column matrix: ``summarize(LogLikMatrix(col[:, None]))["wapdi"][0]``.
     """
     columns = matrix._columns
     step = max(1, BLOCK_CELLS // matrix.draw_count)
-    out: list[PointwiseSummary] = []
-    for start in range(0, columns.shape[1], step):
-        out += _summaries(_dispersion_rows(columns[:, start : start + step]))
+    blocks = [
+        _dispersion_rows(columns[:, start : start + step])
+        for start in range(0, columns.shape[1], step)
+    ]
+    out = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
     if matrix._column_of is not None:
-        out = [out[c] for c in matrix._column_of.tolist()]
+        out = {key: values[matrix._column_of] for key, values in out.items()}
     return out
 
 
 def rank_report(
-    summaries: list[PointwiseSummary],
+    summaries: dict[str, np.ndarray],
     ids,
     group_labels: dict[str, str] | None = None,
 ) -> MismatchReport:
     """Rank datapoints by WAPDI (rank 1 = most negative = worst).
 
-    Ties break by ascending log_mu, then by id. The secondary ranking by
-    log_mu uses the mirrored key (log_mu, wapdi, id). Duplicate ids, ids
-    holding a comma, a double quote or a line break, and ids starting with
-    ``#`` (which every reader skips as a comment) are rejected. The WAIC
-    scalar averages the finite terms only.
+    ``summaries`` is what ``summarize`` returns. Ties break by ascending
+    log_mu, then by id. The secondary ranking by log_mu uses the mirrored key
+    (log_mu, wapdi, id). Duplicate ids, ids holding a comma, a double quote
+    or a line break, and ids starting with ``#`` (which every reader skips as
+    a comment) are rejected. The WAIC scalar averages the finite terms only.
     """
     ids = [str(i) for i in ids]
-    if len(summaries) != len(ids):
-        raise ValueError(f"{len(summaries)} summaries for {len(ids)} ids")
+    log_mu = summaries["log_mu"]
+    wapdi_val = summaries["wapdi"]
+    if len(log_mu) != len(ids):
+        raise ValueError(f"{len(log_mu)} summaries for {len(ids)} ids")
     for index, datapoint_id in enumerate(ids):
         if _BAD_ID_CHARS.search(datapoint_id):
             raise ValueError(
@@ -365,27 +358,29 @@ def rank_report(
         raise ValueError(f"duplicate datapoint ids: {', '.join(dupes)}")
 
     id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
-    log_mu = np.array([s.log_mu for s in summaries], dtype=np.float64)
-    wapdi_val = np.array([s.wapdi for s in summaries], dtype=np.float64)
     # NaN (flagged) entries sort after every finite value so ranks stay a
     # permutation of 1..N; in the log_mu ranking they tie-break as 0.
     flagged = np.isnan(wapdi_val)
     wapdi_key = np.where(flagged, 0.0, wapdi_val)
     order_w = np.lexsort((id_rank, log_mu, wapdi_key, flagged))
     order_m = np.lexsort((id_rank, wapdi_key, log_mu))
-    rank_w = (np.argsort(order_w) + 1).tolist()
-    rank_m = (np.argsort(order_m) + 1).tolist()
+    rank_m = np.argsort(order_m) + 1
 
+    # Row k of the report is datapoint order_w[k], of WAPDI rank k + 1.
+    values = zip(*(summaries[f][order_w].tolist() for f in _FIELDS))
+    hits = zip(*(summaries[f][order_w].tolist() for f in _FLAGS))
     rows = tuple(
         ReportRow(
             datapoint_id=ids[i],
-            summary=summaries[i],
-            rank_wapdi=rank_w[i],
-            rank_log_mu=rank_m[i],
+            summary=PointwiseSummary(*vals, tuple(f for f, on in zip(_FLAGS, hit) if on)),
+            rank_wapdi=rank,
+            rank_log_mu=rank_log_mu,
         )
-        for i in order_w.tolist()
+        for rank, (i, rank_log_mu, vals, hit) in enumerate(
+            zip(order_w.tolist(), rank_m[order_w].tolist(), values, hits), 1
+        )
     )
-    waic_scalar, n_excluded = _finite_mean([s.waic_term for s in summaries])
+    waic_scalar, n_excluded = _finite_mean(summaries["waic_term"])
     labels = dict(group_labels) if group_labels is not None else None
     return MismatchReport(
         rows=rows, waic=waic_scalar, group_labels=labels, n_excluded=n_excluded

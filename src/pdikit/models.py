@@ -153,7 +153,7 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
     from scipy.special import gammaln
 
     data = np.asarray(data, dtype=np.float64)
-    if np.any(data < 0) or np.any(data != np.floor(data)):
+    if not np.all(np.isfinite(data) & (data >= 0) & (data == np.floor(data))):
         raise ValueError("counts must be non-negative integers")
     mu_shape, mu_rate = moment_match_mu_prior(data)
     if ids is None:
@@ -259,11 +259,11 @@ def gamma_toy_model(data, eval_points=None, ids=None) -> ModelSpec:
     from scipy.special import gammaln
 
     data = np.asarray(data, dtype=np.float64)
-    if np.any(data <= 0):
-        raise ValueError("data must be strictly positive")
+    if not np.all(np.isfinite(data) & (data > 0)):
+        raise ValueError("data must be strictly positive and finite")
     pts = data if eval_points is None else np.asarray(eval_points, dtype=np.float64)
-    if np.any(pts <= 0):
-        raise ValueError("eval points must be strictly positive")
+    if not np.all(np.isfinite(pts) & (pts > 0)):
+        raise ValueError("eval points must be strictly positive and finite")
     if ids is None:
         ids = tuple(f"x{i:03d}={x:g}" for i, x in enumerate(pts))
 

@@ -112,8 +112,8 @@ def compare_exact_vs_taylor(
         )
     summaries = summarize(matrix)
     jac = _jacobian(model, draws.posterior_mean)
-    exact = np.array([s.wapdi for s in summaries])
-    approx = _taylor(jac, draws.posterior_var, [s.log_mu for s in summaries])
+    exact = summaries["wapdi"]
+    approx = _taylor(jac, draws.posterior_var, summaries["log_mu"])
     with np.errstate(invalid="ignore"):
         error = np.abs(exact - approx)
     # The sort is stable and puts NaN last, so ties and NaN errors keep matrix order.

@@ -19,14 +19,11 @@ from pdikit import datasets, models
 from pdikit.cli import main
 from pdikit.taylor import compare_exact_vs_taylor, pointwise_gradient
 
+from conftest import assert_same_bits, summarize_one
+
 
 def gamma_logpdf(x, shape, rate):
     return shape * np.log(rate) - gammaln(shape) + (shape - 1) * np.log(x) - rate * x
-
-
-def summarize_one(col):
-    """Summary of a single column, through an S x 1 matrix."""
-    return pk.summarize(pk.LogLikMatrix(col[:, None], allow_degenerate=True))[0]
 
 
 PRESIDENTS_SEED = 42
@@ -67,8 +64,8 @@ def test_criterion_1_oracle_equivalence():
         S = int(rng.integers(2, 6))
         N = int(rng.integers(1, 5))
         vals = rng.uniform(-5.0, 0.0, size=(S, N))
-        summaries = pk.summarize(pk.LogLikMatrix(vals))
-        for j, s in enumerate(summaries):
+        s = pk.summarize(pk.LogLikMatrix(vals))
+        for j in range(N):
             lik = np.exp(vals[:, j])
             log_mu = math.log(lik.mean())
             sigma2 = lik.var(ddof=1)
@@ -82,17 +79,8 @@ def test_criterion_1_oracle_equivalence():
                 "pdi_ratio_log": math.log(sigma2) - log_mu,
                 "waic_term": -log_mu + sigma2_log,
             }
-            got = {
-                "log_mu": s.log_mu,
-                "mu_log": s.mu_log,
-                "log_sigma2": s.log_sigma2,
-                "sigma2_log": s.sigma2_log,
-                "wapdi": s.wapdi,
-                "pdi_ratio_log": s.pdi_ratio_log,
-                "waic_term": s.waic_term,
-            }
             for name in ref:
-                assert got[name] == pytest.approx(ref[name], rel=1e-10, abs=1e-12), name
+                assert s[name][j] == pytest.approx(ref[name], rel=1e-10, abs=1e-12), name
             checked += 1
     elapsed = time.monotonic() - t0
     assert checked >= 1000
@@ -102,19 +90,19 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_hand_fixtures():
     col = np.log([0.2, 0.4])
     s = summarize_one(col)
-    assert s.log_mu == pytest.approx(-1.203973, abs=1e-6)
-    assert s.mu_log == pytest.approx(-1.262864, abs=1e-6)
-    assert s.sigma2_log == pytest.approx(0.240227, abs=1e-6)
-    assert s.log_sigma2 == pytest.approx(-3.912023, abs=1e-6)
-    assert s.wapdi == pytest.approx(-0.199529, abs=1e-6)
-    assert s.pdi_ratio_log == pytest.approx(-2.708050, abs=1e-6)
-    assert s.waic_term == pytest.approx(1.444200, abs=1e-6)
-    report = pk.rank_report([s], ["a"])
+    assert s["log_mu"] == pytest.approx(-1.203973, abs=1e-6)
+    assert s["mu_log"] == pytest.approx(-1.262864, abs=1e-6)
+    assert s["sigma2_log"] == pytest.approx(0.240227, abs=1e-6)
+    assert s["log_sigma2"] == pytest.approx(-3.912023, abs=1e-6)
+    assert s["wapdi"] == pytest.approx(-0.199529, abs=1e-6)
+    assert s["pdi_ratio_log"] == pytest.approx(-2.708050, abs=1e-6)
+    assert s["waic_term"] == pytest.approx(1.444200, abs=1e-6)
+    report = pk.rank_report(pk.summarize(pk.LogLikMatrix(col[:, None])), ["a"])
     assert report.waic == pytest.approx(1.444200, abs=1e-6)
     # three-point column: variance 0.640604 over log mean 0.375
     s3 = summarize_one(np.log([0.5, 0.5, 0.125]))
-    assert s3.sigma2_log == pytest.approx(0.640604, abs=1e-6)
-    assert s3.wapdi == pytest.approx(-0.653125, abs=1e-6)
+    assert s3["sigma2_log"] == pytest.approx(0.640604, abs=1e-6)
+    assert s3["wapdi"] == pytest.approx(-0.653125, abs=1e-6)
 
 
 def test_criterion_3_toy_triangle(toy_posterior):
@@ -130,7 +118,7 @@ def test_criterion_3_toy_triangle(toy_posterior):
             np.inf,
         )
         col = gamma_logpdf(x, 5.0, beta)
-        mc = summarize_one(col).log_mu
+        mc = summarize_one(col)["log_mu"]
         se = pk.log_posterior_predictive_mcse(col)
         assert closed == pytest.approx(math.log(integral), abs=1e-8)
         assert abs(mc - closed) < 3 * se
@@ -150,8 +138,8 @@ def test_criterion_4_wapdi_order_of_magnitude_separation(toy_posterior):
     x_low = brentq(lambda x: predictive(x) - target, 1e-9, mode, xtol=1e-12)
     assert x_low < mode
     assert abs(predictive(x_low) - target) < 1e-3
-    w_low = summarize_one(gamma_logpdf(x_low, 5.0, beta)).wapdi
-    w_high = summarize_one(gamma_logpdf(x_high, 5.0, beta)).wapdi
+    w_low = summarize_one(gamma_logpdf(x_low, 5.0, beta))["wapdi"]
+    w_high = summarize_one(gamma_logpdf(x_high, 5.0, beta))["wapdi"]
     assert w_low < 0 and w_high < 0
     assert w_high / w_low >= 2.0
 
@@ -215,26 +203,21 @@ def test_criterion_7_property_suites():
 
     # Jensen gap on random matrices, equality on constant columns
     vals = rng.normal(-12, 4, size=(30, 8))
-    for s in pk.summarize(pk.LogLikMatrix(vals)):
-        assert s.log_mu >= s.mu_log
+    base = pk.summarize(pk.LogLikMatrix(vals))
+    assert (base["log_mu"] >= base["mu_log"]).all()
     const = pk.summarize(pk.LogLikMatrix(np.full((6, 2), -3.5)))
-    for s in const:
-        assert abs(s.log_mu - s.mu_log) <= 1e-12
+    assert (np.abs(const["log_mu"] - const["mu_log"]) <= 1e-12).all()
 
     # draw-permutation bitwise invariance
     perm = rng.permutation(vals.shape[0])
-    assert pk.summarize(pk.LogLikMatrix(vals)) == pk.summarize(
-        pk.LogLikMatrix(vals[perm])
-    )
+    assert_same_bits(pk.summarize(pk.LogLikMatrix(vals[perm])), base)
 
     # likelihood scaling identities
     log_k = 0.987
-    base = pk.summarize(pk.LogLikMatrix(vals))
     scaled = pk.summarize(pk.LogLikMatrix(vals + log_k))
-    for b, s in zip(base, scaled):
-        assert s.pdi_ratio_log == pytest.approx(b.pdi_ratio_log + log_k, rel=1e-10)
-        assert s.sigma2_log == pytest.approx(b.sigma2_log, rel=1e-10)
-        assert s.log_mu == pytest.approx(b.log_mu + log_k, rel=1e-10)
+    assert scaled["pdi_ratio_log"] == pytest.approx(base["pdi_ratio_log"] + log_k, rel=1e-10)
+    assert scaled["sigma2_log"] == pytest.approx(base["sigma2_log"], rel=1e-10)
+    assert scaled["log_mu"] == pytest.approx(base["log_mu"] + log_k, rel=1e-10)
 
     # simplex and positivity constraints on actual sampler draws
     days = datasets.presidents_days()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -11,19 +10,34 @@ import pdikit as pk
 from pdikit import dispersion
 from pdikit.dispersion import FLAG_NEAR_SINGULAR, FLAG_NONFINITE, FLAG_ZERO_VARIANCE
 
+from conftest import assert_same_bits, summarize_one
+
 LOG_2_4 = np.log([0.2, 0.4])
-
-
-def summarize_one(col):
-    """Summary of a single column, through an S x 1 matrix."""
-    return pk.summarize(pk.LogLikMatrix(col[:, None], allow_degenerate=True))[0]
+FLAGS = (FLAG_NONFINITE, FLAG_ZERO_VARIANCE, FLAG_NEAR_SINGULAR)
 
 
 def waic(matrix):
     """The WAIC scalar and every datapoint's term, through ``summarize``."""
     summaries = pk.summarize(matrix)
-    terms = np.array([s.waic_term for s in summaries])
-    return pk.rank_report(summaries, matrix.datapoint_ids).waic, terms
+    return pk.rank_report(summaries, matrix.datapoint_ids).waic, summaries["waic_term"]
+
+
+def summaries_of(wapdis, log_mus=None):
+    """``summarize``-shaped arrays with the given WAPDI and log_mu and no flag set."""
+    wapdi = np.array(wapdis, dtype=np.float64)
+    log_mu = np.array(log_mus or [-1.0] * wapdi.size, dtype=np.float64)
+    zero = np.zeros(wapdi.size)
+    unset = np.zeros(wapdi.size, dtype=bool)
+    return {
+        "log_mu": log_mu,
+        "mu_log": log_mu,
+        "log_sigma2": zero,
+        "sigma2_log": -wapdi * log_mu,
+        "wapdi": wapdi,
+        "pdi_ratio_log": zero,
+        "waic_term": -log_mu,
+        **dict.fromkeys(FLAGS, unset),
+    }
 
 
 def naive_column(col):
@@ -51,54 +65,54 @@ finite_columns = st.lists(
 
 class TestColumnEstimators:
     def test_log_posterior_predictive_hand_value(self):
-        assert summarize_one(LOG_2_4).log_mu == pytest.approx(math.log(0.3), abs=1e-12)
-        assert summarize_one(LOG_2_4).log_mu == pytest.approx(-1.203973, abs=1e-6)
+        assert summarize_one(LOG_2_4)["log_mu"] == pytest.approx(math.log(0.3), abs=1e-12)
+        assert summarize_one(LOG_2_4)["log_mu"] == pytest.approx(-1.203973, abs=1e-6)
 
     def test_extreme_shift_no_overflow(self):
-        assert summarize_one(np.array([-1000.0, -1000.0])).log_mu == -1000.0
-        assert summarize_one(np.array([700.0, 700.0])).log_mu == 700.0
+        assert summarize_one(np.array([-1000.0, -1000.0]))["log_mu"] == -1000.0
+        assert summarize_one(np.array([700.0, 700.0]))["log_mu"] == 700.0
 
     def test_mean_log_lik_hand_value(self):
-        mu_log = summarize_one(LOG_2_4).mu_log
+        mu_log = summarize_one(LOG_2_4)["mu_log"]
         assert mu_log == pytest.approx(math.log(0.08) / 2, abs=1e-12)
         assert mu_log == pytest.approx(-1.262864, abs=1e-6)
 
     def test_mean_log_lik_constant(self):
-        assert summarize_one(np.array([-2.5, -2.5, -2.5])).mu_log == -2.5
+        assert summarize_one(np.array([-2.5, -2.5, -2.5]))["mu_log"] == -2.5
 
     def test_var_log_lik_hand_value(self):
         expected = math.log(2.0) ** 2 / 2.0
-        assert summarize_one(LOG_2_4).sigma2_log == pytest.approx(expected, abs=1e-12)
-        assert summarize_one(LOG_2_4).sigma2_log == pytest.approx(0.240227, abs=1e-6)
+        assert summarize_one(LOG_2_4)["sigma2_log"] == pytest.approx(expected, abs=1e-12)
+        assert summarize_one(LOG_2_4)["sigma2_log"] == pytest.approx(0.240227, abs=1e-6)
 
     def test_var_log_lik_constant_exact_zero(self):
-        assert summarize_one(np.array([-1.3, -1.3, -1.3, -1.3])).sigma2_log == 0.0
+        assert summarize_one(np.array([-1.3, -1.3, -1.3, -1.3]))["sigma2_log"] == 0.0
 
     def test_var_log_lik_shift_invariant(self):
         rng = np.random.default_rng(0)
         col = rng.normal(-3, 1, size=30)
-        a, b = summarize_one(col).sigma2_log, summarize_one(col + 123.456).sigma2_log
+        a, b = summarize_one(col)["sigma2_log"], summarize_one(col + 123.456)["sigma2_log"]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_log_var_lik_hand_value(self):
-        log_sigma2 = summarize_one(LOG_2_4).log_sigma2
+        log_sigma2 = summarize_one(LOG_2_4)["log_sigma2"]
         assert log_sigma2 == pytest.approx(math.log(0.02), abs=1e-12)
         assert log_sigma2 == pytest.approx(-3.912023, abs=1e-6)
 
     def test_log_var_lik_degenerate(self):
-        assert summarize_one(np.array([-4.0, -4.0])).log_sigma2 == -np.inf
+        assert summarize_one(np.array([-4.0, -4.0]))["log_sigma2"] == -np.inf
 
     def test_log_var_lik_scale_shift(self):
         col = LOG_2_4
-        assert summarize_one(col - 500.0).log_sigma2 == pytest.approx(
-            summarize_one(col).log_sigma2 - 1000.0, rel=1e-12
+        assert summarize_one(col - 500.0)["log_sigma2"] == pytest.approx(
+            summarize_one(col)["log_sigma2"] - 1000.0, rel=1e-12
         )
 
     def test_wapdi_hand_value(self):
-        assert summarize_one(LOG_2_4).wapdi == pytest.approx(-0.199529, abs=1e-6)
+        assert summarize_one(LOG_2_4)["wapdi"] == pytest.approx(-0.199529, abs=1e-6)
 
     def test_wapdi_zero_variance(self):
-        assert summarize_one(np.array([-0.5, -0.5, -0.5])).wapdi == 0.0
+        assert summarize_one(np.array([-0.5, -0.5, -0.5]))["wapdi"] == 0.0
 
     def test_wapdi_three_point_hand_value(self):
         # var of {ln .5, ln .5, ln .125} is 0.640604 (S-1 divisor); the ratio
@@ -106,28 +120,28 @@ class TestColumnEstimators:
         col = np.log([0.5, 0.5, 0.125])
         var = np.var(col, ddof=1)
         assert var == pytest.approx(0.640604, abs=1e-6)
-        assert summarize_one(col).wapdi == pytest.approx(var / math.log(0.375), rel=1e-12)
-        assert summarize_one(col).wapdi == pytest.approx(-0.653125, abs=1e-6)
+        assert summarize_one(col)["wapdi"] == pytest.approx(var / math.log(0.375), rel=1e-12)
+        assert summarize_one(col)["wapdi"] == pytest.approx(-0.653125, abs=1e-6)
 
     def test_wapdi_near_singular_flagged(self):
         # log mu ~ 0: likelihoods straddling 1
         col = np.log([1.0 - 1e-12, 1.0 + 1e-12])
-        assert math.isnan(summarize_one(col).wapdi)
+        assert math.isnan(summarize_one(col)["wapdi"])
 
     def test_pdi_ratio_hand_value(self):
-        ratio = summarize_one(LOG_2_4).pdi_ratio_log
+        ratio = summarize_one(LOG_2_4)["pdi_ratio_log"]
         assert ratio == pytest.approx(math.log(0.02 / 0.3), abs=1e-12)
         assert ratio == pytest.approx(-2.708050, abs=1e-6)
 
     def test_pdi_ratio_degenerate_propagates(self):
-        assert summarize_one(np.array([-2.0, -2.0])).pdi_ratio_log == -np.inf
+        assert summarize_one(np.array([-2.0, -2.0]))["pdi_ratio_log"] == -np.inf
 
     def test_pdi_ratio_scaling_identity(self):
         rng = np.random.default_rng(3)
         col = rng.normal(-4, 0.7, size=25)
         log_k = 2.345
-        assert summarize_one(col + log_k).pdi_ratio_log == pytest.approx(
-            summarize_one(col).pdi_ratio_log + log_k, rel=1e-10
+        assert summarize_one(col + log_k)["pdi_ratio_log"] == pytest.approx(
+            summarize_one(col)["pdi_ratio_log"] + log_k, rel=1e-10
         )
 
     def test_waic_flag_mode_leaves_out_nonfinite_terms(self):
@@ -152,15 +166,15 @@ class TestJensen:
     @settings(max_examples=200)
     def test_log_mu_dominates_mu_log(self, col):
         s = summarize_one(col)
-        gap = s.log_mu - s.mu_log
-        assert gap >= -1e-12 * max(1.0, abs(s.mu_log))
-        assert s.sigma2_log >= 0.0
+        gap = s["log_mu"] - s["mu_log"]
+        assert gap >= -1e-12 * max(1.0, abs(s["mu_log"]))
+        assert s["sigma2_log"] >= 0.0
 
     def test_equality_iff_constant(self):
         s = summarize_one(np.full(7, -3.25))
-        assert s.log_mu == s.mu_log
+        assert s["log_mu"] == s["mu_log"]
         s2 = summarize_one(np.array([-3.0, -2.0]))
-        assert s2.log_mu > s2.mu_log
+        assert s2["log_mu"] > s2["mu_log"]
 
 
 class TestOracleEquivalence:
@@ -170,19 +184,11 @@ class TestOracleEquivalence:
             S = rng.integers(2, 6)
             N = rng.integers(1, 5)
             vals = rng.uniform(-5, 0, size=(S, N))
-            m = pk.LogLikMatrix(vals)
-            for j, s in enumerate(pk.summarize(m)):
+            s = pk.summarize(pk.LogLikMatrix(vals))
+            for j in range(N):
                 ref = naive_column(vals[:, j])
-                for name, got in [
-                    ("log_mu", s.log_mu),
-                    ("mu_log", s.mu_log),
-                    ("log_sigma2", s.log_sigma2),
-                    ("sigma2_log", s.sigma2_log),
-                    ("wapdi", s.wapdi),
-                    ("pdi_ratio_log", s.pdi_ratio_log),
-                    ("waic_term", s.waic_term),
-                ]:
-                    assert got == pytest.approx(ref[name], rel=1e-10, abs=1e-12), name
+                for name, want in ref.items():
+                    assert s[name][j] == pytest.approx(want, rel=1e-10, abs=1e-12), name
 
 
 class TestSummaryIdentities:
@@ -199,13 +205,12 @@ class TestSummaryIdentities:
     )
     @settings(max_examples=150)
     def test_wapdi_and_waic_identities(self, rows):
-        m = pk.LogLikMatrix(np.array(rows).T)
-        for s in pk.summarize(m):
-            if not math.isnan(s.wapdi):
-                assert s.wapdi == s.sigma2_log / s.log_mu
-            assert s.waic_term == -s.log_mu + s.sigma2_log
-            assert s.pdi_ratio_log == s.log_sigma2 - s.log_mu
-            assert s.sigma2_log >= 0.0
+        s = pk.summarize(pk.LogLikMatrix(np.array(rows).T))
+        ok = ~np.isnan(s["wapdi"])
+        assert np.array_equal(s["wapdi"][ok], s["sigma2_log"][ok] / s["log_mu"][ok])
+        assert np.array_equal(s["waic_term"], -s["log_mu"] + s["sigma2_log"])
+        assert np.array_equal(s["pdi_ratio_log"], s["log_sigma2"] - s["log_mu"])
+        assert (s["sigma2_log"] >= 0.0).all()
 
 
 class TestMonteCarloConsistency:
@@ -216,8 +221,8 @@ class TestMonteCarloConsistency:
         for rep in range(50):
             rng = np.random.default_rng(1000 + rep)
             z = rng.normal(-2.0, 1.0, size=40000)
-            err_small.append(abs(summarize_one(z[:100]).log_mu - true))
-            err_big.append(abs(summarize_one(z).log_mu - true))
+            err_small.append(abs(summarize_one(z[:100])["log_mu"] - true))
+            err_big.append(abs(summarize_one(z)["log_mu"] - true))
         assert np.median(err_big) < np.median(err_small)
 
 
@@ -230,21 +235,17 @@ class TestExtremeMagnitudes:
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")  # any numpy warning fails the test
             for offset in (-1e6, -745.0, 0.0, 700.0):
-                m = pk.LogLikMatrix(base + offset)
-                for s in pk.summarize(m):
-                    assert np.isfinite(s.log_mu)
-                    assert np.isfinite(s.mu_log)
-                    assert np.isfinite(s.sigma2_log)
-                    assert np.isfinite(s.log_sigma2)
-                    assert not math.isnan(s.wapdi)
+                s = pk.summarize(pk.LogLikMatrix(base + offset))
+                for name in ("log_mu", "mu_log", "sigma2_log", "log_sigma2", "wapdi"):
+                    assert np.isfinite(s[name]).all(), name
 
     def test_huge_span_within_column(self):
         # one dominant draw, the rest hopeless: mean is carried by the max
         col = np.array([-2.0, -900.0, -1500.0])
         s = summarize_one(col)
-        assert s.log_mu == pytest.approx(-2.0 + math.log(1.0 / 3.0), abs=1e-12)
-        assert s.sigma2_log > 0
-        assert np.isfinite(s.log_sigma2)
+        assert s["log_mu"] == pytest.approx(-2.0 + math.log(1.0 / 3.0), abs=1e-12)
+        assert s["sigma2_log"] > 0
+        assert np.isfinite(s["log_sigma2"])
 
 
 class TestMatrixAndSummaries:
@@ -269,26 +270,26 @@ class TestMatrixAndSummaries:
     def test_summarize_2x2_fixture(self):
         m = pk.LogLikMatrix(np.log([[0.2, 0.5], [0.4, 0.5]]), ["a", "b"])
         s = pk.summarize(m)
-        assert s[0].wapdi == pytest.approx(-0.199529, abs=1e-6)
-        assert s[1].wapdi == 0.0
-        assert s[1].log_mu == pytest.approx(math.log(0.5), abs=1e-12)
-        assert FLAG_ZERO_VARIANCE in s[1].flags
+        assert s["wapdi"][0] == pytest.approx(-0.199529, abs=1e-6)
+        assert s["wapdi"][1] == 0.0
+        assert s["log_mu"][1] == pytest.approx(math.log(0.5), abs=1e-12)
+        assert s[FLAG_ZERO_VARIANCE].tolist() == [False, True]
 
     def test_zero_variance_wapdi_is_positive_zero(self):
         # 0 / log mu has a negative denominator; the kernel writes +0.0.
         vals = np.column_stack([LOG_2_4, np.full(2, math.log(0.5)), np.full(2, -3.0)])
         summaries = pk.summarize(pk.LogLikMatrix(vals, ["a", "b", "c"]))
-        for s in summaries[1:]:
-            assert FLAG_ZERO_VARIANCE in s.flags
-            assert s.wapdi == 0.0 and math.copysign(1.0, s.wapdi) == 1.0
-        assert math.copysign(1.0, summarize_one(np.full(3, -0.5)).wapdi) == 1.0
+        assert summaries[FLAG_ZERO_VARIANCE].tolist() == [False, True, True]
+        for w in summaries["wapdi"][1:].tolist():
+            assert w == 0.0 and math.copysign(1.0, w) == 1.0
+        assert math.copysign(1.0, summarize_one(np.full(3, -0.5))["wapdi"]) == 1.0
         report = pk.rank_report(summaries, ["a", "b", "c"])
         ranks = {r.datapoint_id: (r.rank_wapdi, r.rank_log_mu) for r in report.rows}
         assert ranks == {"a": (1, 2), "b": (3, 3), "c": (2, 1)}
 
     def test_summarize_single_column(self):
         m = pk.LogLikMatrix([[-1.0], [-2.0]])
-        assert len(pk.summarize(m)) == 1
+        assert all(values.shape == (1,) for values in pk.summarize(m).values())
 
     def test_row_permutation_bitwise_invariance(self):
         rng = np.random.default_rng(5)
@@ -296,7 +297,7 @@ class TestMatrixAndSummaries:
         perm = rng.permutation(23)
         s1 = pk.summarize(pk.LogLikMatrix(vals))
         s2 = pk.summarize(pk.LogLikMatrix(vals[perm]))
-        assert s1 == s2
+        assert_same_bits(s1, s2)
 
     def test_scaling_identities(self):
         rng = np.random.default_rng(6)
@@ -304,28 +305,26 @@ class TestMatrixAndSummaries:
         log_k = 1.7
         base = pk.summarize(pk.LogLikMatrix(vals))
         scaled = pk.summarize(pk.LogLikMatrix(vals + log_k))
-        for b, s in zip(base, scaled):
-            assert s.pdi_ratio_log == pytest.approx(b.pdi_ratio_log + log_k, rel=1e-10)
-            assert s.log_mu == pytest.approx(b.log_mu + log_k, rel=1e-10)
-            assert s.sigma2_log == pytest.approx(b.sigma2_log, rel=1e-10)
+        for name, shift in (("pdi_ratio_log", log_k), ("log_mu", log_k), ("sigma2_log", 0.0)):
+            assert scaled[name] == pytest.approx(base[name] + shift, rel=1e-10), name
 
     def test_near_singular_column_flagged_not_fatal(self):
         vals = np.array([[math.log(1.0 - 1e-13), -2.0], [math.log(1.0 + 1e-13), -3.0]])
         s = pk.summarize(pk.LogLikMatrix(vals))
-        assert math.isnan(s[0].wapdi)
-        assert FLAG_NEAR_SINGULAR in s[0].flags
-        assert not math.isnan(s[1].wapdi)
+        assert math.isnan(s["wapdi"][0])
+        assert s[FLAG_NEAR_SINGULAR].tolist() == [True, False]
+        assert not math.isnan(s["wapdi"][1])
 
     def test_degenerate_entries_flag_mode(self):
         vals = np.array([[-np.inf, -1.0], [-2.0, -1.5], [-3.0, -2.0]])
         m = pk.LogLikMatrix(vals, allow_degenerate=True)
         s = pk.summarize(m)
-        assert FLAG_NONFINITE in s[0].flags
-        assert math.isnan(s[0].sigma2_log)
-        assert math.isnan(s[0].wapdi)
-        assert s[0].mu_log == -np.inf
-        assert np.isfinite(s[0].log_mu)  # two finite draws still average
-        assert s[1].flags == ()
+        assert s[FLAG_NONFINITE][0]
+        assert math.isnan(s["sigma2_log"][0])
+        assert math.isnan(s["wapdi"][0])
+        assert s["mu_log"][0] == -np.inf
+        assert np.isfinite(s["log_mu"][0])  # two finite draws still average
+        assert not any(s[flag][1] for flag in FLAGS)
 
     def test_all_neginf_column(self):
         # Third column: one -inf draw and mean likelihood 1, so log mu ~ 0; it
@@ -335,15 +334,16 @@ class TestMatrixAndSummaries:
             [[-np.inf, -1.0, -np.inf], [-np.inf, -1.5, lin], [-np.inf, -2.0, lin]]
         )
         summaries = pk.summarize(pk.LogLikMatrix(vals, allow_degenerate=True))
-        assert summaries[2].flags == (FLAG_NONFINITE,)
-        s = summaries[0]
-        assert s.log_mu == -np.inf
-        assert s.mu_log == -np.inf
-        assert s.log_sigma2 == -np.inf
-        for value in (s.sigma2_log, s.wapdi, s.pdi_ratio_log, s.waic_term):
-            assert math.isnan(value)
-        assert s.flags == (FLAG_NONFINITE, FLAG_ZERO_VARIANCE)
-        assert summarize_one(vals[:, 0]) == s
+        assert [summaries[flag][2] for flag in FLAGS] == [True, False, False]
+        s = summarize_one(vals[:, 0])
+        assert s["log_mu"] == -np.inf
+        assert s["mu_log"] == -np.inf
+        assert s["log_sigma2"] == -np.inf
+        for name in ("sigma2_log", "wapdi", "pdi_ratio_log", "waic_term"):
+            assert math.isnan(s[name])
+        assert [s[flag] for flag in FLAGS] == [True, True, False]
+        first = pk.summarize(pk.LogLikMatrix(vals[:, :1], allow_degenerate=True))
+        assert_same_bits(first, {key: values[:1] for key, values in summaries.items()})
 
     def test_blocks_match_single_columns(self):
         # Constant and partly -inf columns on both sides of each block seam.
@@ -357,12 +357,15 @@ class TestMatrixAndSummaries:
         vals[:, 2 * step] = -0.75
         m = pk.LogLikMatrix(vals, allow_degenerate=True)
         blocked = pk.summarize(m)
-        single = [summarize_one(vals[:, j]) for j in range(vals.shape[1])]
-        assert blocked == single
-        assert FLAG_NONFINITE in blocked[step].flags
-        assert FLAG_ZERO_VARIANCE in blocked[2 * step].flags
+        single = [
+            pk.summarize(pk.LogLikMatrix(vals[:, j : j + 1], allow_degenerate=True))
+            for j in range(vals.shape[1])
+        ]
+        assert_same_bits(blocked, {k: np.concatenate([s[k] for s in single]) for k in blocked})
+        assert blocked[FLAG_NONFINITE][step]
+        assert blocked[FLAG_ZERO_VARIANCE][2 * step]
         permuted = pk.LogLikMatrix(vals[rng.permutation(S)], allow_degenerate=True)
-        assert pk.summarize(permuted) == blocked
+        assert_same_bits(pk.summarize(permuted), blocked)
 
     def test_caller_array_unchanged(self):
         col = np.array([-1.0, -3.0, -2.0, -0.5])
@@ -370,7 +373,7 @@ class TestMatrixAndSummaries:
         pk.log_posterior_predictive_mcse(col)
         assert np.array_equal(col, before)
         m = pk.LogLikMatrix(col[:, None])
-        assert pk.summarize(m) == [summarize_one(before)]
+        assert_same_bits(pk.summarize(m), pk.summarize(pk.LogLikMatrix(before[:, None])))
         assert np.array_equal(m.values[:, 0], before)
 
     def test_waic_2x1_fixture(self):
@@ -391,7 +394,7 @@ class TestMatrixAndSummaries:
         values[:, 4100] = -2.0  # a zero-variance column in the second block
         m = pk.LogLikMatrix(values)
         scalar, terms = waic(m)
-        want = np.array([s.waic_term for s in pk.summarize(m)])
+        want = pk.summarize(m)["waic_term"]
         assert np.array_equal(terms.view(np.uint64), want.view(np.uint64))
         assert scalar == float(np.mean(want))
 
@@ -403,75 +406,60 @@ class TestMatrixAndSummaries:
 
 
 class TestRanking:
-    def _summaries(self, wapdis, log_mus=None):
-        log_mus = log_mus or [-1.0] * len(wapdis)
-        return [
-            pk.PointwiseSummary(
-                log_mu=lm,
-                mu_log=lm,
-                log_sigma2=0.0,
-                sigma2_log=-w * lm,
-                wapdi=w,
-                pdi_ratio_log=0.0,
-                waic_term=-lm,
-            )
-            for w, lm in zip(wapdis, log_mus)
-        ]
-
     def test_basic_ranks(self):
-        rep = pk.rank_report(self._summaries([-0.1, -0.3]), ["p", "q"])
+        rep = pk.rank_report(summaries_of([-0.1, -0.3]), ["p", "q"])
         assert [r.datapoint_id for r in rep.rows] == ["q", "p"]
         assert [r.rank_wapdi for r in rep.rows] == [1, 2]
 
     def test_tie_break_log_mu_then_id(self):
-        s = self._summaries([-0.2, -0.2, -0.2], log_mus=[-1.0, -3.0, -1.0])
+        s = summaries_of([-0.2, -0.2, -0.2], log_mus=[-1.0, -3.0, -1.0])
         rep = pk.rank_report(s, ["b", "c", "a"])
         assert [r.datapoint_id for r in rep.rows] == ["c", "a", "b"]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            pk.rank_report(self._summaries([-0.1, -0.2]), ["x", "x"])
+            pk.rank_report(summaries_of([-0.1, -0.2]), ["x", "x"])
 
     def test_flagged_rows_rank_last(self):
-        s = self._summaries([-0.5, float("nan"), -0.1])
+        s = summaries_of([-0.5, float("nan"), -0.1])
         rep = pk.rank_report(s, ["a", "b", "c"])
         assert [r.datapoint_id for r in rep.rows] == ["a", "c", "b"]
         assert sorted(r.rank_wapdi for r in rep.rows) == [1, 2, 3]
 
     def test_waic_is_mean_of_terms(self):
-        s = self._summaries([-0.1, -0.2], log_mus=[-1.0, -2.0])
+        s = summaries_of([-0.1, -0.2], log_mus=[-1.0, -2.0])
         rep = pk.rank_report(s, ["a", "b"])
         assert rep.waic == pytest.approx(np.mean([r.summary.waic_term for r in rep.rows]))
 
     def test_waic_leaves_out_nonfinite_terms(self):
         rng = np.random.default_rng(8)
         log_mus = rng.normal(-3.0, 2.0, 1001).tolist()
-        s = self._summaries([-0.1] * len(log_mus), log_mus=log_mus)
-        terms = [x.waic_term for x in s]
-        rep = pk.rank_report(s, [f"p{i}" for i in range(len(s))])
+        s = summaries_of([-0.1] * len(log_mus), log_mus=log_mus)
+        terms = s["waic_term"].copy()
+        ids = [f"p{i}" for i in range(len(log_mus))]
+        rep = pk.rank_report(s, ids)
         # All finite: exactly the plain mean.
         assert rep.n_excluded == 0
         assert rep.waic == float(np.mean(terms))
-        nan_term = dataclasses.replace(s[3], waic_term=float("nan"))
-        inf_term = dataclasses.replace(s[7], waic_term=float("inf"))
-        flagged = [nan_term if i == 3 else inf_term if i == 7 else x for i, x in enumerate(s)]
-        rep = pk.rank_report(flagged, [f"p{i}" for i in range(len(s))])
+        s["waic_term"][3] = float("nan")
+        s["waic_term"][7] = float("inf")
+        rep = pk.rank_report(s, ids)
         assert rep.n_excluded == 2
-        kept = [t for i, t in enumerate(terms) if i not in (3, 7)]
-        assert rep.waic == float(np.mean(kept))
-        none_finite = [dataclasses.replace(x, waic_term=float("nan")) for x in s[:3]]
+        assert rep.waic == float(np.mean(np.delete(terms, [3, 7])))
+        none_finite = summaries_of([-0.1] * 3)
+        none_finite["waic_term"][:] = float("nan")
         rep = pk.rank_report(none_finite, ["a", "b", "c"])
         assert math.isnan(rep.waic) and rep.n_excluded == 3
 
     @pytest.mark.parametrize("bad", ["a,b", 'say "hi"', "a\nb", "a\r", "a\u2028b", "\x0c", "#b"])
     def test_ids_that_break_a_csv_row_rejected(self, bad):
-        s = self._summaries([-0.1, -0.2, -0.3])
+        s = summaries_of([-0.1, -0.2, -0.3])
         message = f"datapoint id {bad!r} at index 1 contains"
         with pytest.raises(ValueError, match=re.escape(message)):
             pk.rank_report(s, ["ok", bad, "fine"])
 
     def test_rank_log_mu(self):
-        s = self._summaries([-0.1, -0.2], log_mus=[-5.0, -1.0])
+        s = summaries_of([-0.1, -0.2], log_mus=[-5.0, -1.0])
         rep = pk.rank_report(s, ["a", "b"])
         by_id = {r.datapoint_id: r for r in rep.rows}
         assert by_id["a"].rank_log_mu == 1  # most negative log_mu is worst
@@ -480,11 +468,7 @@ class TestRanking:
 
 class TestGrouping:
     def _report(self, wapdis, log_mus, ids, labels):
-        summaries = [
-            pk.PointwiseSummary(lm, lm, 0.0, -w * lm, w, 0.0, -lm)
-            for w, lm in zip(wapdis, log_mus)
-        ]
-        return pk.rank_report(summaries, ids, labels)
+        return pk.rank_report(summaries_of(wapdis, log_mus), ids, labels)
 
     def test_two_rows_one_label(self):
         rep = self._report([-0.2, -0.4], [-1, -1], ["a", "b"], {"a": "g", "b": "g"})

@@ -11,14 +11,11 @@ from scipy.special import gammaln, logsumexp
 import pdikit as pk
 from pdikit import datasets, models, reportio
 
+from conftest import summarize_one
+
 
 def gamma_logpdf(x, shape, rate):
     return shape * np.log(rate) - gammaln(shape) + (shape - 1) * np.log(x) - rate * x
-
-
-def summarize_one(col):
-    """Summary of a single column, through an S x 1 matrix."""
-    return pk.summarize(pk.LogLikMatrix(col[:, None], allow_degenerate=True))[0]
 
 
 class TestNB2:
@@ -241,6 +238,14 @@ class TestNB2MixtureModel:
         with pytest.raises(ValueError):
             models.nb2_mixture_model(np.array([1.5, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_counts(self, bad):
+        counts = np.array([3.0, 5.0, bad, 7.0])
+        with pytest.raises(ValueError, match="counts must be non-negative integers"):
+            models.nb2_mixture_model(counts)
+        with pytest.raises(ValueError, match="counts must be non-negative integers"):
+            models.nb2_mixture_model(counts, ids=["a", "b", "c", "d"])
+
 
 class TestGammaToy:
     def test_posterior_predictive_matches_quadrature(self):
@@ -270,7 +275,7 @@ class TestGammaToy:
         beta = draws.draws[:, 0]
         for x in (0.5, 5.0, 15.0):
             col = gamma_logpdf(x, 5.0, beta)
-            mc = summarize_one(col).log_mu
+            mc = summarize_one(col)["log_mu"]
             se = pk.log_posterior_predictive_mcse(col)
             closed = models.toy_posterior_predictive_logpdf(x, data)
             assert abs(mc - closed) < 3 * se
@@ -293,6 +298,16 @@ class TestGammaToy:
             models.gamma_toy_model(np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             models.toy_posterior_predictive_logpdf(0.0, np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        with pytest.raises(ValueError, match="data must be strictly positive and finite"):
+            models.gamma_toy_model(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_eval_points(self, bad):
+        with pytest.raises(ValueError, match="eval points must be strictly positive and finite"):
+            models.gamma_toy_model(np.array([1.0, 2.0]), eval_points=[0.5, bad])
 
     def test_factorization_identity(self):
         data = models.simulate_toy_data(7, seed=3)

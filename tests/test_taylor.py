@@ -113,7 +113,7 @@ class TestTaylorValue:
         data, _, _, draws = toy_setup
         pair = models.gamma_toy_model(data, eval_points=[4.53, 15.0])
         mat = pk.loglik_matrix(pair, draws)
-        log_mus = [s.log_mu for s in pk.summarize(mat)]
+        log_mus = pk.summarize(mat)["log_mu"]
         at_mode = taylor_one(pair, 0, draws.posterior_mean, draws.posterior_var, log_mus[0])
         at_tail = taylor_one(pair, 1, draws.posterior_mean, draws.posterior_var, log_mus[1])
         assert abs(at_mode) < abs(at_tail)
@@ -121,8 +121,7 @@ class TestTaylorValue:
     def test_sign_agreement(self, toy_setup):
         _, _, model, draws = toy_setup
         mat = pk.loglik_matrix(model, draws)
-        for n, s in enumerate(pk.summarize(mat)):
-            log_mu = s.log_mu
+        for n, log_mu in enumerate(pk.summarize(mat)["log_mu"].tolist()):
             assert log_mu < 0
             v = taylor_one(model, n, draws.posterior_mean, draws.posterior_var, log_mu)
             assert v <= 0
@@ -227,7 +226,7 @@ def test_table_order_ties_and_nan_and_one_row_case():
     assert by_id["c"].abs_error > by_id["a"].abs_error
     assert math.isnan(by_id["z"].abs_error)
     assert [r.datapoint_id for r in rep.rows] == ["c", "a", "b", "z"]
-    log_mu = [s.log_mu for s in pk.summarize(mat)]
+    log_mu = pk.summarize(mat)["log_mu"]
     for row in rep.rows:
         n = model.datapoint_ids.index(row.datapoint_id)
         one = taylor_one(model, n, draws.posterior_mean, draws.posterior_var, log_mu[n])
