@@ -178,11 +178,9 @@ def parse_args(argv) -> RunConfig:
     if getattr(ns, "formats", None) is not None:
         ns.formats = tuple(f.strip() for f in ns.formats.split(",") if f.strip())
         bad = [f for f in ns.formats if f not in FORMATS]
-        if bad:
-            parser.error(
-                f"argument --formats: unknown format {bad[0]!r} "
-                f"(choose from {', '.join(FORMATS)})"
-            )
+        if bad or not ns.formats:
+            problem = f"unknown format {bad[0]!r}" if bad else "no format given"
+            parser.error(f"argument --formats: {problem} (choose from {', '.join(FORMATS)})")
     cfg = RunConfig(**vars(ns))  # every argparse dest is a RunConfig field
     if cfg.command in ("fit", "check-lemma"):
         if cfg.model == "presidents-nb2" and (cfg.data or cfg.synthetic is not None):

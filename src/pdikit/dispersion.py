@@ -15,9 +15,9 @@ gets the same bits alone (as a one-column matrix) as inside any matrix.
 ``summarize`` runs the kernel over blocks of about ``BLOCK_CELLS`` cells
 and returns its arrays, one per quantity and one mask per degeneracy flag; a
 matrix whose datapoints share columns (see ``LogLikMatrix``) runs the kernel
-once per distinct column. ``rank_report`` builds each datapoint's
-``PointwiseSummary`` and ``ReportRow`` from those arrays, once, in rank
-order.
+once per distinct column. ``rank_report`` reorders those arrays into rank
+order and keeps them as columns; a report builds per-datapoint
+``ReportRow`` objects only when its ``rows`` are read.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -195,18 +196,58 @@ class ReportRow:
     rank_log_mu: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MismatchReport:
-    """Ranked per-datapoint records, worst WAPDI first, plus the WAIC scalar.
+    """Ranked per-datapoint columns, worst WAPDI first, plus the WAIC scalar.
 
+    Entry k of every column belongs to the datapoint of WAPDI rank k + 1:
+    ``ids``, the read-only arrays in ``columns`` (``summarize``'s keys: one
+    float array per ``PointwiseSummary`` field and one boolean mask per
+    flag), ``rank_wapdi`` (1..N) and ``rank_log_mu``. ``rows`` holds the
+    same data as one ``ReportRow`` per datapoint, built on first access.
     ``waic`` averages the finite WAIC terms; ``n_excluded`` counts the
-    datapoints whose term is not finite and so left out.
+    datapoints whose term is not finite and so left out. Reports compare
+    by identity.
     """
 
-    rows: tuple[ReportRow, ...]
+    ids: tuple[str, ...]
+    columns: dict[str, np.ndarray]
+    rank_wapdi: np.ndarray
+    rank_log_mu: np.ndarray
     waic: float
     group_labels: dict[str, str] | None = None
     n_excluded: int = 0
+
+    @cached_property
+    def rows(self) -> tuple[ReportRow, ...]:
+        """One ``ReportRow`` per datapoint, in rank order."""
+        values = zip(*(self.columns[f].tolist() for f in _FIELDS))
+        return tuple(
+            ReportRow(
+                datapoint_id=datapoint_id,
+                summary=PointwiseSummary(*vals, flags),
+                rank_wapdi=rank,
+                rank_log_mu=rank_log_mu,
+            )
+            for datapoint_id, rank, rank_log_mu, vals, flags in zip(
+                self.ids, self.rank_wapdi.tolist(), self.rank_log_mu.tolist(), values, self.flags
+            )
+        )
+
+    @cached_property
+    def flags(self) -> list[tuple[str, ...]]:
+        """Each datapoint's flags, as its ``PointwiseSummary`` lists them."""
+        code = sum(self.columns[f] << bit for bit, f in enumerate(_FLAGS))
+        sets = [
+            tuple(f for bit, f in enumerate(_FLAGS) if c >> bit & 1)
+            for c in range(1 << len(_FLAGS))
+        ]
+        return [sets[c] for c in code.tolist()]
+
+    @cached_property
+    def float_reprs(self) -> dict[str, list[str]]:
+        """``repr`` of each entry of each float column, made once for every writer."""
+        return {f: list(map(repr, self.columns[f].tolist())) for f in _FIELDS}
 
 
 @dataclass(frozen=True)
@@ -332,9 +373,10 @@ def rank_report(
 
     ``summaries`` is what ``summarize`` returns. Ties break by ascending
     log_mu, then by id. The secondary ranking by log_mu uses the mirrored key
-    (log_mu, wapdi, id). Duplicate ids, ids holding a comma, a double quote
-    or a line break, and ids starting with ``#`` (which every reader skips as
-    a comment) are rejected. The WAIC scalar averages the finite terms only.
+    (log_mu, wapdi, id). Duplicate ids, empty ids, ids holding a comma, a
+    double quote or a line break, and ids starting with ``#`` (which every
+    reader skips as a comment) are rejected. The WAIC scalar averages the
+    finite terms only.
     """
     ids = [str(i) for i in ids]
     log_mu = summaries["log_mu"]
@@ -342,6 +384,8 @@ def rank_report(
     if len(log_mu) != len(ids):
         raise ValueError(f"{len(log_mu)} summaries for {len(ids)} ids")
     for index, datapoint_id in enumerate(ids):
+        if not datapoint_id:
+            raise ValueError(f"datapoint id at index {index} is empty")
         if _BAD_ID_CHARS.search(datapoint_id):
             raise ValueError(
                 f"datapoint id {datapoint_id!r} at index {index} contains a comma, "
@@ -366,24 +410,22 @@ def rank_report(
     order_m = np.lexsort((id_rank, wapdi_key, log_mu))
     rank_m = np.argsort(order_m) + 1
 
-    # Row k of the report is datapoint order_w[k], of WAPDI rank k + 1.
-    values = zip(*(summaries[f][order_w].tolist() for f in _FIELDS))
-    hits = zip(*(summaries[f][order_w].tolist() for f in _FLAGS))
-    rows = tuple(
-        ReportRow(
-            datapoint_id=ids[i],
-            summary=PointwiseSummary(*vals, tuple(f for f, on in zip(_FLAGS, hit) if on)),
-            rank_wapdi=rank,
-            rank_log_mu=rank_log_mu,
-        )
-        for rank, (i, rank_log_mu, vals, hit) in enumerate(
-            zip(order_w.tolist(), rank_m[order_w].tolist(), values, hits), 1
-        )
-    )
+    # Entry k of each column is datapoint order_w[k], of WAPDI rank k + 1.
+    columns = {key: summaries[key][order_w] for key in (*_FIELDS, *_FLAGS)}
+    rank_wapdi = np.arange(1, len(ids) + 1)
+    rank_log_mu = rank_m[order_w]
+    for values in (*columns.values(), rank_wapdi, rank_log_mu):
+        values.flags.writeable = False
     waic_scalar, n_excluded = _finite_mean(summaries["waic_term"])
     labels = dict(group_labels) if group_labels is not None else None
     return MismatchReport(
-        rows=rows, waic=waic_scalar, group_labels=labels, n_excluded=n_excluded
+        ids=tuple(ids[i] for i in order_w.tolist()),
+        columns=columns,
+        rank_wapdi=rank_wapdi,
+        rank_log_mu=rank_log_mu,
+        waic=waic_scalar,
+        group_labels=labels,
+        n_excluded=n_excluded,
     )
 
 
@@ -391,24 +433,25 @@ def group_aggregate(report: MismatchReport) -> dict[str, GroupStats]:
     """Per-group arithmetic means of WAPDI and log_mu, ordered by label.
 
     The groups are the report's own ``group_labels`` (datapoint id to label,
-    from ``rank_report``), which must cover every row. Each mean is over the
-    finite values only (a flagged row's NaN WAPDI is left out); ``count`` is
-    every row of the group.
+    from ``rank_report``), which must cover every datapoint. Each mean is
+    over the finite values only (a flagged datapoint's NaN WAPDI is left
+    out), taken in rank order; ``count`` is every datapoint of the group.
     """
     grouping = report.group_labels
     if grouping is None:
         raise ValueError("the report carries no group labels")
-    buckets: dict[str, list[ReportRow]] = {}
-    for row in report.rows:
-        if row.datapoint_id not in grouping:
-            raise ValueError(f"datapoint {row.datapoint_id!r} has no group label")
-        buckets.setdefault(grouping[row.datapoint_id], []).append(row)
+    buckets: dict[str, list[int]] = {}
+    for k, datapoint_id in enumerate(report.ids):
+        if datapoint_id not in grouping:
+            raise ValueError(f"datapoint {datapoint_id!r} has no group label")
+        buckets.setdefault(grouping[datapoint_id], []).append(k)
+    wapdi_val, log_mu = report.columns["wapdi"], report.columns["log_mu"]
     out: dict[str, GroupStats] = {}
     for label in sorted(buckets):
-        rows = buckets[label]
+        ranked = buckets[label]
         out[label] = GroupStats(
-            mean_wapdi=_finite_mean([r.summary.wapdi for r in rows])[0],
-            mean_log_mu=_finite_mean([r.summary.log_mu for r in rows])[0],
-            count=len(rows),
+            mean_wapdi=_finite_mean(wapdi_val[ranked])[0],
+            mean_log_mu=_finite_mean(log_mu[ranked])[0],
+            count=len(ranked),
         )
     return out

@@ -15,12 +15,13 @@ import itertools
 import json
 import math
 from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dispersion import LogLikMatrix, MismatchReport, ReportRow
+from .dispersion import LogLikMatrix, MismatchReport
 
 __all__ = [
     "InputFormatError",
@@ -38,18 +39,21 @@ __all__ = [
     "read_values_csv",
 ]
 
-# Float and rank columns, each named once; the summary writer and reader iterate them.
-_FLOAT_COLUMNS = (
-    "log_mu",
-    "mu_log",
-    "sigma2_log",
-    "log_sigma2",
-    "wapdi",
-    "pdi_log",
-    "waic_term",
-)
+# Float and rank columns, each named once; the summary writers and reader
+# iterate them. Each float column names the report column it prints.
+_FLOAT_COLUMNS = {
+    "log_mu": "log_mu",
+    "mu_log": "mu_log",
+    "sigma2_log": "sigma2_log",
+    "log_sigma2": "log_sigma2",
+    "wapdi": "wapdi",
+    "pdi_log": "pdi_ratio_log",
+    "waic_term": "waic_term",
+}
 _RANK_COLUMNS = ("rank_wapdi", "rank_logpred")
 SUMMARY_COLUMNS = ("id", *_FLOAT_COLUMNS, *_RANK_COLUMNS, "flags")
+# One summary.ndjson record, its keys sorted as ``json.dumps(sort_keys=True)`` sorts them.
+_NDJSON_RECORD = "{" + ", ".join(f'"{c}": %s' for c in sorted(SUMMARY_COLUMNS)) + "}"
 
 
 class InputFormatError(ValueError):
@@ -69,25 +73,47 @@ def _parse_float(path: Path, cell: str, line_no: int, col_no: int) -> float:
         ) from None
 
 
+def _lines(fh) -> Iterator[str]:
+    """The lines ``str.splitlines`` makes of an open text file, some keeping a final ``\\n``.
+
+    A physical line holds no break but its final ``\\n`` unless it holds one
+    of the other ASCII breaks ``str.splitlines`` knows or is not ASCII
+    (U+2028, ...); only such a line is split again, and the others are
+    passed on as they are.
+    """
+    for physical in fh:
+        if physical.isascii() and not (
+            "\v" in physical
+            or "\f" in physical
+            or "\x1c" in physical
+            or "\x1d" in physical
+            or "\x1e" in physical
+        ):
+            yield physical
+        else:
+            yield from physical.splitlines()
+
+
 def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
     """(file line number, line) for every line that is not blank or a ``#`` comment.
 
-    Streamed from the open file; each physical line is split again with
-    ``str.splitlines``, so lines are numbered as ``read_text().splitlines()``
-    numbers them (breaking at ``\\f``, U+2028, ...). A file that cannot be
-    opened, or a byte that is not UTF-8, raises an ``InputFormatError``
-    (for a byte, with its line and whole-file offset).
+    Streamed from the open file, lines are broken and numbered as
+    ``read_text().splitlines()`` breaks and numbers them (at ``\\f``,
+    U+2028, ...). A UTF-8 byte-order mark at the start of the file is
+    dropped. A file that cannot be opened, or a byte that is not UTF-8,
+    raises an ``InputFormatError`` (for a byte, with its line and whole-file
+    offset).
     """
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise InputFormatError(f"{path}: cannot read: {exc.strerror}") from None
     with fh:
         try:
-            pieces = (piece for physical in fh for piece in physical.splitlines())
-            for i, line in enumerate(pieces, 1):
-                if line.strip() and not line.startswith("#"):
-                    yield i, line
+            for i, line in enumerate(_lines(fh), 1):
+                # isspace() is True for the "\n" of an empty line, False for "".
+                if line and not line.isspace() and not line.startswith("#"):
+                    yield i, line.removesuffix("\n")
         except UnicodeDecodeError:
             data = path.read_bytes()
             try:
@@ -188,7 +214,7 @@ def meta_line(seed) -> str:
 
 def read_meta_line(path) -> str | None:
     """First ``# pdikit`` comment of a file, if any."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline()
     return first.rstrip("\n") if first.startswith("# pdikit") else None
 
@@ -205,26 +231,25 @@ def format_summary_row(record: dict) -> str:
     )
 
 
-def _summary_record(row: ReportRow) -> dict:
-    s = row.summary
-    return {
-        "id": row.datapoint_id,
-        "log_mu": s.log_mu,
-        "mu_log": s.mu_log,
-        "sigma2_log": s.sigma2_log,
-        "log_sigma2": s.log_sigma2,
-        "wapdi": s.wapdi,
-        "pdi_log": s.pdi_ratio_log,
-        "waic_term": s.waic_term,
-        "rank_wapdi": row.rank_wapdi,
-        "rank_logpred": row.rank_log_mu,
-        "flags": list(s.flags),
-    }
+def _number_texts(report: MismatchReport) -> dict[str, list[str]]:
+    """The float and rank columns' text per datapoint, in rank order.
+
+    The floats are the report's ``float_reprs``, made once however many
+    writers print them.
+    """
+    texts = {c: report.float_reprs[field] for c, field in _FLOAT_COLUMNS.items()}
+    texts["rank_wapdi"] = list(map(str, report.rank_wapdi.tolist()))
+    texts["rank_logpred"] = list(map(str, report.rank_log_mu.tolist()))
+    return texts
 
 
 def write_summary_csv(path, report: MismatchReport, seed: int) -> None:
+    """The summary table: what ``format_summary_row`` writes for each datapoint."""
+    texts = _number_texts(report)
+    texts["id"] = report.ids
+    texts["flags"] = [";".join(flags) for flags in report.flags]
     lines = [meta_line(seed), ",".join(SUMMARY_COLUMNS)]
-    lines += [format_summary_row(_summary_record(row)) for row in report.rows]
+    lines += map(",".join, zip(*(texts[c] for c in SUMMARY_COLUMNS)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -282,9 +307,22 @@ def _strict_json(obj, **kwargs) -> str:
 
 
 def write_summary_ndjson(path, report: MismatchReport, seed: int) -> None:
+    """A header record, then one record per datapoint keyed by ``SUMMARY_COLUMNS``.
+
+    Each line is what ``_strict_json(..., sort_keys=True)`` writes for it:
+    floats as repr or, when not finite, ``null``; ids through ``json``'s own
+    ASCII string encoder; flags as a list.
+    """
+    texts = _number_texts(report)
+    for c, field in _FLOAT_COLUMNS.items():
+        finite = np.isfinite(report.columns[field]).tolist()
+        texts[c] = [text if ok else "null" for text, ok in zip(texts[c], finite)]
+    texts["id"] = list(map(encode_basestring_ascii, report.ids))
+    flag_lists = {flags: json.dumps(list(flags)) for flags in set(report.flags)}
+    texts["flags"] = [flag_lists[flags] for flags in report.flags]
     header = {"pdikit": __version__, "seed": seed, "waic": report.waic}
     lines = [_strict_json(header, sort_keys=True)]
-    lines += [_strict_json(_summary_record(row), sort_keys=True) for row in report.rows]
+    lines += map(_NDJSON_RECORD.__mod__, zip(*(texts[c] for c in sorted(SUMMARY_COLUMNS))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -299,17 +337,17 @@ def write_wapdi_svg(path, report: MismatchReport, seed: int, top_k: int | None =
     """Self-contained horizontal bar chart of WAPDI, most negative at top.
 
     Presentation only: values come straight from the report. Flagged (NaN)
-    rows are skipped.
+    datapoints are skipped.
     """
     import html  # only here, so that importing the CLI does not pay for it
 
-    rows = [r for r in report.rows if not np.isnan(r.summary.wapdi)]
-    if top_k is not None:
-        rows = rows[:top_k]
+    wapdi = report.columns["wapdi"]
+    drawn = np.flatnonzero(~np.isnan(wapdi))[:top_k]
+    bars = list(zip([report.ids[k] for k in drawn.tolist()], wapdi[drawn].tolist()))
     bar_h, gap, label_w, chart_w = 14, 4, 160, 420
-    height = len(rows) * (bar_h + gap) + 30
+    height = len(bars) * (bar_h + gap) + 30
     width = label_w + chart_w + 80
-    max_mag = max((abs(r.summary.wapdi) for r in rows), default=1.0) or 1.0
+    max_mag = max((abs(value) for _, value in bars), default=1.0) or 1.0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f"<!-- pdikit {__version__} seed={seed} -->",
@@ -317,11 +355,11 @@ def write_wapdi_svg(path, report: MismatchReport, seed: int, top_k: int | None =
         f'<text x="{label_w}" y="14">WAPDI, worst datapoints first</text>',
     ]
     y = 24
-    for row in rows:
-        w = abs(row.summary.wapdi) / max_mag * chart_w
+    for datapoint_id, value in bars:
+        w = abs(value) / max_mag * chart_w
         parts.append(
             f'<text x="{label_w - 6}" y="{y + bar_h - 3}" text-anchor="end">'
-            f"{html.escape(row.datapoint_id, quote=False)}</text>"
+            f"{html.escape(datapoint_id, quote=False)}</text>"
         )
         parts.append(
             f'<rect x="{label_w}" y="{y}" width="{w:.2f}" height="{bar_h}" '
@@ -329,7 +367,7 @@ def write_wapdi_svg(path, report: MismatchReport, seed: int, top_k: int | None =
         )
         parts.append(
             f'<text x="{label_w + w + 4:.2f}" y="{y + bar_h - 3}">'
-            f"{row.summary.wapdi:.4f}</text>"
+            f"{value:.4f}</text>"
         )
         y += bar_h + gap
     parts.append("</svg>")

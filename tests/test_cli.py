@@ -71,6 +71,22 @@ class TestParseArgs:
                 ]
             )
 
+    @pytest.mark.parametrize("command", ["compute", "fit"])
+    @pytest.mark.parametrize("formats", ["", ",", " , "])
+    def test_empty_format_selection_rejected(
+        self, matrix_file, tmp_path, capsys, command, formats
+    ):
+        source = {"compute": ["--input", str(matrix_file)], "fit": ["--model", "toy-gamma"]}
+        source = source[command]
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source, "--formats", formats, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "pdikit: error: argument --formats: no format given (choose from csv, ndjson, svg)\n"
+        )
+        assert not out.exists()
+
     def test_group_by_needs_matching_model(self, tmp_path):
         with pytest.raises(SystemExit):
             parse_args(
@@ -267,6 +283,32 @@ class TestComputeCommand:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert sorted(tmp_path.iterdir()) == before  # no output written
         assert matrix_file.read_text() == MATRIX_2x2
+
+    @pytest.mark.parametrize("header, index", [(",a,b", 0), ("a,,b", 1)])
+    def test_empty_id_exits_3(self, tmp_path, capsys, header, index):
+        # pandas' to_csv() heads its unnamed index column with an empty name.
+        p = tmp_path / "m.csv"
+        p.write_text(header + "\n0,-1.0,-2.0\n1,-1.5,-2.5\n")
+        out = tmp_path / "o"
+        assert main(["compute", "--input", str(p), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"pdikit: error: datapoint id at index {index} is empty\n"
+        )
+        assert not out.exists()
+
+    def test_byte_order_mark_is_not_data(self, tmp_path, monkeypatch):
+        argv = ["compute", "--input", "m.csv", "--groups", "g.csv", "--out", "out"]
+        written = []
+        for name, bom in [("plain", ""), ("bom", "\ufeff")]:
+            d = tmp_path / name
+            d.mkdir()
+            (d / "m.csv").write_text(bom + "a,b\n-1.0,-2.0\n-1.5,-2.25\n", encoding="utf-8")
+            (d / "g.csv").write_text(bom + "id,label\na,g1\nb,g2\n", encoding="utf-8")
+            assert reportio.read_group_labels_csv(d / "g.csv") == {"a": "g1", "b": "g2"}
+            monkeypatch.chdir(d)
+            assert main(argv + ["--formats", "csv,ndjson,svg"]) == 0
+            written.append({p.name: p.read_bytes() for p in (d / "out").iterdir()})
+        assert len(written[0]) == 4 and written[1] == written[0]
 
     def test_groups_aggregated(self, matrix_file, tmp_path):
         g = tmp_path / "groups.csv"
@@ -686,26 +728,64 @@ class TestGoldenDigests:
     """
 
     @pytest.mark.parametrize(
-        "argv, name, digest",
+        "argv, digests",
         [
             (
                 ["fit", "--model", "presidents-nb2", "--warmup", "150", "--draws", "60",
-                 "--seed", "42"],
-                "summary.csv",
-                "9cc826dc50f3ea72d86e360fb3d387b7532c90020278571136030a6907ff73c7",
+                 "--seed", "42", "--formats", "csv,ndjson,svg"],
+                {
+                    "summary.csv":
+                        "9cc826dc50f3ea72d86e360fb3d387b7532c90020278571136030a6907ff73c7",
+                    "summary.ndjson":
+                        "c683318c144154ba38fda8cfbce372aadeaa82402bd6a9cc36a62b7c7eb2c28e",
+                    "wapdi.svg":
+                        "33f876943a03185839552650832a4081f0f4062508c87b388f3a8b4d230c74a9",
+                },
             ),
             (
                 ["check-lemma", "--model", "voting-base", "--synthetic", "300", "--warmup",
                  "100", "--draws", "50"],
-                "lemma.csv",
-                "09239dab65fe3a6affaf45e1bae25e9abc30e3114b2ef6807615490b32b89c90",
+                {
+                    "lemma.csv":
+                        "09239dab65fe3a6affaf45e1bae25e9abc30e3114b2ef6807615490b32b89c90",
+                },
             ),
         ],
         ids=["fit-presidents", "check-lemma-voting"],
     )
-    def test_output_digest(self, tmp_path, argv, name, digest):
+    def test_output_digest(self, tmp_path, argv, digests):
         assert main(argv + ["--out", str(tmp_path)]) == 0
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_degenerate_compute_digest(self, tmp_path, monkeypatch):
+        # Every flag, a NaN group mean, -0.0 turned 0.0, and ids that JSON,
+        # SVG and CSV each write differently. run.json records the paths,
+        # so they are relative to a fixed working directory.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.csv").write_text(
+            "é,a\\b,t\tab,inf,const,zero\n"
+            "-1.5,-0.25,-3.0,-inf,-2.0,0.0\n"
+            "-1.25,-0.5,-2.75,-1.0,-2.0,0.0\n"
+            "-1.0,-0.75,-3.5,-2.0,-2.0,0.0\n"
+            "-1.125,-0.3,-2.5,-1.5,-2.0,0.0\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "g.csv").write_text(
+            "id,label\né,g1\na\\b,g1\nt\tab,g1\ninf,g2\nconst,g2\nzero,ü\n",
+            encoding="utf-8",
+        )
+        argv = ["compute", "--input", "m.csv", "--groups", "g.csv", "--allow-degenerate"]
+        assert main(argv + ["--formats", "csv,ndjson,svg", "--out", "out"]) == 0
+        digests = {
+            "run.json": "fdc73cb899f4293a8b9d9333ec0f5934625905d2df948f7165bcd0c7df24951d",
+            "summary.csv": "5fd5de7de09df126fb8f97f04708f0b29f77c398ed9f282b02a5e7e74051e8b8",
+            "summary.ndjson": "da04c521ec361e61d39c4e26c21cab8356921850a45e83075ea779983e1bfc4f",
+            "wapdi.svg": "f66c35f9cc14d87448ebd3b70322dab3713569fc375ad7480b0144a692865bf5",
+        }
+        for name, digest in digests.items():
+            got = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            assert got == digest, name
 
 
 class TestDeterminism:

@@ -458,6 +458,13 @@ class TestRanking:
         with pytest.raises(ValueError, match=re.escape(message)):
             pk.rank_report(s, ["ok", bad, "fine"])
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_empty_id_rejected(self, index):
+        ids = ["a", "b", "c"]
+        ids[index] = ""
+        with pytest.raises(ValueError, match=f"^datapoint id at index {index} is empty$"):
+            pk.rank_report(summaries_of([-0.1, -0.2, -0.3]), ids)
+
     def test_rank_log_mu(self):
         s = summaries_of([-0.1, -0.2], log_mus=[-5.0, -1.0])
         rep = pk.rank_report(s, ["a", "b"])
@@ -499,6 +506,21 @@ class TestGrouping:
         assert out["h"].mean_wapdi == -0.7
         only_flagged = self._report([float("nan")], [-1.0], ["a"], {"a": "g"})
         assert math.isnan(pk.group_aggregate(only_flagged)["g"].mean_wapdi)
+
+    def test_means_are_taken_in_rank_order(self):
+        rng = np.random.default_rng(3)
+        wapdis = rng.normal(-0.3, 0.2, 1000) * 10 ** rng.uniform(-3, 3, 1000)
+        log_mus = rng.normal(-3.0, 1.0, 1000)
+        ids = [f"p{i}" for i in range(1000)]
+        rep = self._report(wapdis.tolist(), log_mus.tolist(), ids, dict.fromkeys(ids, "g"))
+        ranked = [r.summary for r in rep.rows]
+        got = pk.group_aggregate(rep)["g"]
+        want_wapdi = float(np.mean([s.wapdi for s in ranked]))
+        # The order of the sum shows in these values' last bits.
+        assert want_wapdi != float(np.mean(wapdis))
+        assert want_wapdi != float(np.mean([s.wapdi for s in ranked[::-1]]))
+        assert got.mean_wapdi == want_wapdi
+        assert got.mean_log_mu == float(np.mean([s.log_mu for s in ranked]))
 
     def test_missing_label_rejected(self):
         rep = self._report([-0.1, -0.2], [-1, -1], ["a", "b"], {"a": "g"})

@@ -1,6 +1,7 @@
 """Readers and strict JSON writers in ``pdikit.reportio``."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -341,10 +342,10 @@ def test_bad_rank_cell_names_its_position(tmp_path, capsys, col_no):
     assert capsys.readouterr().err == f"pdikit: error: {message}\n"
 
 
-# An id the summary CSV can carry, which ``rank_report`` accepts: no comma,
-# double quote or line break, and no leading "#", which every reader takes
-# for a comment line.
-safe_id = st.text(max_size=6).filter(
+# An id the summary CSV can carry, which ``rank_report`` accepts: not empty,
+# no comma, double quote or line break, and no leading "#", which every
+# reader takes for a comment line.
+safe_id = st.text(min_size=1, max_size=6).filter(
     lambda s: not ("," in s or '"' in s or s.startswith("#"))
     and len((s + "x").splitlines()) == 1
 )
@@ -399,19 +400,105 @@ def test_summary_csv_round_trip_is_bitwise(tmp_path_factory, case, seed):
         assert rec["flags"] == s.flags
 
 
+# The writers as they were written one report row at a time: the
+# references that the columnar writers and group_aggregate must match.
+
+
+def row_record(row) -> dict:
+    """One datapoint's summary record, keyed by ``SUMMARY_COLUMNS``."""
+    s = row.summary
+    return {
+        "id": row.datapoint_id,
+        "log_mu": s.log_mu,
+        "mu_log": s.mu_log,
+        "sigma2_log": s.sigma2_log,
+        "log_sigma2": s.log_sigma2,
+        "wapdi": s.wapdi,
+        "pdi_log": s.pdi_ratio_log,
+        "waic_term": s.waic_term,
+        "rank_wapdi": row.rank_wapdi,
+        "rank_logpred": row.rank_log_mu,
+        "flags": list(s.flags),
+    }
+
+
+def row_csv_line(row) -> str:
+    r = row_record(row)
+    cells = [r["id"], *(repr(r[c]) for c in reportio.SUMMARY_COLUMNS[1:8])]
+    cells += [str(r["rank_wapdi"]), str(r["rank_logpred"]), ";".join(r["flags"])]
+    return ",".join(cells)
+
+
+def row_json_line(record: dict) -> str:
+    nulled = {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in record.items()
+    }
+    return json.dumps(nulled, sort_keys=True, allow_nan=False)
+
+
+def row_group_means(report) -> dict:
+    """(mean_wapdi, mean_log_mu, count) per label, from the rows in rank order."""
+    buckets = {}
+    for row in report.rows:
+        buckets.setdefault(report.group_labels[row.datapoint_id], []).append(row.summary)
+    out = {}
+    for label, summaries in buckets.items():
+        means = []
+        for values in ([s.wapdi for s in summaries], [s.log_mu for s in summaries]):
+            kept = [v for v in values if math.isfinite(v)]
+            means.append(float(np.mean(kept)) if kept else float("nan"))
+        out[label] = (*means, len(summaries))
+    return out
+
+
+def degenerate_report(case, labels=None):
+    values, ids = case
+    m = pk.LogLikMatrix(values, ids, allow_degenerate=True)
+    return pk.rank_report(pk.summarize(m), m.datapoint_ids, labels)
+
+
 class TestNdjsonWriter:
     @given(degenerate_matrices(), st.integers(0, 2**32))
     @settings(max_examples=50)
     def test_written_lines_equal_strict_json_dumps(self, tmp_path_factory, case, seed):
-        values, ids = case
-        m = pk.LogLikMatrix(values, ids, allow_degenerate=True)
-        report = pk.rank_report(pk.summarize(m), m.datapoint_ids)
+        report = degenerate_report(case)
         path = tmp_path_factory.mktemp("nd") / "summary.ndjson"
         reportio.write_summary_ndjson(path, report, seed)
         header = {"pdikit": pk.__version__, "seed": seed, "waic": report.waic}
-        records = [header] + [reportio._summary_record(row) for row in report.rows]
-        want = "".join(reportio._strict_json(r, sort_keys=True) + "\n" for r in records)
+        records = [header] + [row_record(row) for row in report.rows]
+        want = "".join(row_json_line(r) + "\n" for r in records)
         assert path.read_bytes() == want.encode("utf-8")
+
+
+@given(degenerate_matrices(), st.integers(0, 2**32))
+@settings(max_examples=50)
+def test_summary_csv_lines_equal_per_row_reference(tmp_path_factory, case, seed):
+    report = degenerate_report(case)
+    path = tmp_path_factory.mktemp("csv") / "summary.csv"
+    reportio.write_summary_csv(path, report, seed)
+    lines = [reportio.meta_line(seed), ",".join(reportio.SUMMARY_COLUMNS)]
+    lines += [row_csv_line(row) for row in report.rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@given(degenerate_matrices(), st.data())
+@settings(max_examples=50)
+def test_group_means_equal_per_row_reference(case, data):
+    ids = case[1]
+    label = st.sampled_from(["g1", "g2", "ü"])
+    labels = data.draw(st.lists(label, min_size=len(ids), max_size=len(ids)))
+    report = degenerate_report(case, dict(zip(ids, labels)))
+    got = {
+        label: (g.mean_wapdi, g.mean_log_mu, g.count)
+        for label, g in pk.group_aggregate(report).items()
+    }
+    want = row_group_means(report)
+    assert list(got) == sorted(want)
+    for label, (wapdi, log_mu, count) in want.items():
+        bits = np.array([wapdi, log_mu]).view(np.uint64)
+        assert np.array_equal(np.array(got[label][:2]).view(np.uint64), bits), label
+        assert got[label][2] == count
 
 
 def _strict(text):
