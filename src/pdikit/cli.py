@@ -193,6 +193,8 @@ def parse_args(argv) -> RunConfig:
             cfg.sampler_config()
         except ValueError as exc:
             parser.error(str(exc))
+    if cfg.seed < 0:  # compute only records its seed; fit and check-lemma failed above
+        parser.error("seed must be >= 0")
     return cfg
 
 
@@ -326,11 +328,11 @@ def _cmd_compute(cfg: RunConfig) -> int:
     matrix = reportio.read_loglik_csv(
         cfg.input, allow_degenerate=cfg.allow_degenerate, keep_option="--allow-degenerate"
     )
-    labels = reportio.read_group_labels_csv(cfg.groups) if cfg.groups else None
     ids = matrix.datapoint_ids
     meta = {"input": str(cfg.input), "draws": matrix.draw_count, "n": matrix.point_count}
     summaries = summarize(matrix)
-    del matrix  # ranking and the writers run without the S x N array
+    del matrix  # the groups, ranking and the writers run without the S x N array
+    labels = reportio.read_group_labels_csv(cfg.groups) if cfg.groups else None
     _write_outputs(Path(cfg.out), rank_report(summaries, ids, labels), cfg, meta)
     return 0
 

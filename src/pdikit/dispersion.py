@@ -56,8 +56,8 @@ _FLAGS = (FLAG_NONFINITE, FLAG_ZERO_VARIANCE, FLAG_NEAR_SINGULAR)
 _BAD_ID_CHARS = re.compile('[,"\n\r\v\f\x1c-\x1e\x85\u2028\u2029]')
 
 # Cells per kernel call in ``summarize``: keeps each of the kernel's
-# temporaries at a few MB however large the matrix is.
-BLOCK_CELLS = 2**18
+# temporaries at half a MB however large the matrix is.
+BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,8 @@ class LogLikMatrix:
             n = c if column_of is None else np.argmax(column_of == c)
             return f"at draw {s}, datapoint {n}"
 
-        if not np.isfinite(values).all():
+        # min and max allocate no mask the size of the matrix; NaN fails both.
+        if not (values.min() > -np.inf and values.max() < np.inf):
             if np.isnan(values).any():
                 raise ValueError(f"NaN log-likelihood {first_at(np.isnan(values))}")
             if np.isposinf(values).any():

@@ -14,6 +14,7 @@ import contextlib
 import itertools
 import json
 import math
+import stat
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -126,12 +127,31 @@ def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
             raise
 
 
+def _row_budget(size: int, header: str, draws: list[str], n_cols: int) -> int:
+    """How many draw rows to size ``np.loadtxt``'s output for, ahead of the parse.
+
+    ``size`` is the file's byte count, and each character of ``header`` and
+    of the first two draw lines ``draws`` took at least one byte of it. The
+    budget spreads the bytes after the header over rows as long as those
+    two, with a quarter of headroom (rows never filled cost address space,
+    not memory). It is capped at the most rows those bytes can hold: an
+    accepted row has ``n_cols`` non-empty cells, ``n_cols - 1`` commas and a
+    line break.
+    """
+    bytes_left = size - len(header) - 1
+    per_row = (len(draws[0]) + len(draws[1])) / 2 + 1
+    return min(math.ceil(1.25 * bytes_left / per_row), bytes_left // (2 * n_cols) + 1)
+
+
 def _parse_matrix(path: Path) -> tuple[list[str], np.ndarray]:
     """Header ids and the S x N draw values of a matrix CSV; see ``read_loglik_csv``.
 
     The draw lines stream from the file into ``np.loadtxt``, so about one
-    line of text is alive next to the values. The re-scan reads the file
-    again.
+    line of text is alive next to the values. For a regular file ``loadtxt``
+    is told how many rows to expect (``_row_budget``), so it allocates its
+    output once instead of growing it; draw lines left over past that budget
+    are parsed by a second ``loadtxt`` and appended. A pipe has no size to
+    go by, so its output grows. The re-scan reads the file again.
     """
     with contextlib.closing(_data_lines(path)) as rows:
         first = next(rows, None)
@@ -148,8 +168,22 @@ def _parse_matrix(path: Path) -> tuple[list[str], np.ndarray]:
                 for fed, (_, line) in enumerate(itertools.chain(peeked, rows), 1):
                     yield line
 
+            info = path.stat()
+            budget = None
+            if stat.S_ISREG(info.st_mode):
+                draws = [line for _, line in peeked]
+                budget = _row_budget(info.st_size, first[1], draws, n_cols)
+            lines = draw_lines()
             try:
-                values = np.loadtxt(draw_lines(), delimiter=",", comments=None, ndmin=2)
+                values = np.loadtxt(
+                    lines, delimiter=",", comments=None, ndmin=2, max_rows=budget
+                )
+                rest = next(lines, None)
+                if rest is not None:
+                    more = np.loadtxt(
+                        itertools.chain([rest], lines), delimiter=",", comments=None, ndmin=2
+                    )
+                    values = np.concatenate([values, more])
             except ValueError:
                 pass
             else:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -147,6 +148,7 @@ class TestParseArgs:
                 ["fit", "--model", "toy-gamma", "--step", "inf"],
                 "initial_step_size must be finite and > 0",
             ),
+            (["compute", "--input", "m.csv", "--seed", "-1"], "seed must be >= 0"),
         ],
     )
     def test_bad_sampler_flag_exits_2_for_every_model(self, tmp_path, capsys, argv, message):
@@ -339,6 +341,27 @@ class TestComputeCommand:
         assert rc == 3
         assert "'b' has no group label" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
+
+    def test_groups_are_read_after_the_matrix_is_freed(self, matrix_file, tmp_path, monkeypatch):
+        g = tmp_path / "groups.csv"
+        g.write_text("id,label\na,east\nb,west\n")
+        matrices = []
+        read_matrix, read_groups = reportio.read_loglik_csv, reportio.read_group_labels_csv
+
+        def remember_matrix(*args, **kwargs):
+            matrix = read_matrix(*args, **kwargs)
+            matrices.append(weakref.ref(matrix))
+            return matrix
+
+        def check_groups(path):
+            assert [ref() for ref in matrices] == [None]
+            return read_groups(path)
+
+        monkeypatch.setattr(reportio, "read_loglik_csv", remember_matrix)
+        monkeypatch.setattr(reportio, "read_group_labels_csv", check_groups)
+        argv = ["compute", "--input", str(matrix_file), "--groups", str(g)]
+        assert main(argv + ["--out", str(tmp_path / "res")]) == 0
+        assert len(matrices) == 1
 
     def test_degenerate_entries_need_opt_in(self, tmp_path, capsys):
         p = tmp_path / "m.csv"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -235,6 +236,89 @@ class TestMatrixReaderContract:
         assert str(err.value) == f"{path}: {message}"
 
 
+LONG = "-1.2345678901234567"
+
+
+def _rows(n_rows, n_cols, cell):
+    return [",".join([cell] * n_cols)] * n_rows
+
+
+class TestRowBudget:
+    """The row count ``np.loadtxt`` is sized for never changes what is read."""
+
+    @pytest.mark.parametrize(
+        "lines, newline, loadtxt_calls",
+        [
+            # later draws much shorter than the first two: the budget runs
+            # out and the rest is parsed by a second loadtxt
+            pytest.param(
+                ["a,b,c,d,e", *_rows(2, 5, LONG), *_rows(100, 5, "-1")], "\n", 2, id="short-rest"
+            ),
+            # the first two much shorter than the rest: one loadtxt
+            pytest.param(
+                ["a,b,c,d,e", *_rows(2, 5, "-1"), *_rows(100, 5, LONG)], "\n", 1, id="long-rest"
+            ),
+            pytest.param(
+                ["# c", "a,b", "", "-1.5,-2", "# c", "", "-3e-7,-4", "   ", "-5,-6", "#", "-7,-8"],
+                "\n",
+                1,
+                id="comments-and-blanks",
+            ),
+            pytest.param(
+                ["a,b,c", *_rows(2, 3, LONG), "", *_rows(40, 3, "-2.5"), "# c"],
+                "\r\n",
+                2,
+                id="crlf-short-rest",
+            ),
+            pytest.param(
+                ["a,b,c", *_rows(2, 3, "-1"), "# c", *_rows(40, 3, LONG), ""],
+                "\r\n",
+                1,
+                id="crlf-long-rest",
+            ),
+        ],
+    )
+    def test_read_is_bitwise_float(self, tmp_path, monkeypatch, lines, newline, loadtxt_calls):
+        path = tmp_path / "m.csv"
+        path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+        cells = [line.split(",") for _, line in splitlines_oracle(path)[1:]]
+        calls, real_loadtxt = [], np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            calls.append(kwargs.get("max_rows"))
+            return real_loadtxt(*args, **kwargs)
+
+        def rescan(*args):
+            raise AssertionError("the per-cell re-scan ran")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        monkeypatch.setattr(reportio, "_parse_float", rescan)
+        m = reportio.read_loglik_csv(path)
+        assert len(calls) == loadtxt_calls
+        assert calls[0] is not None and (loadtxt_calls == 1) == (calls[0] >= len(cells))
+        assert np.array_equal(m.values.view(np.uint64), oracle(cells).view(np.uint64))
+
+    def test_a_pipe_reads_without_a_budget(self, tmp_path):
+        lines = ["a,b", *_rows(2, 2, "-1"), *_rows(50, 2, LONG)]
+        path = write(tmp_path, lines)
+        read_end, write_end = os.pipe()
+        try:
+            with os.fdopen(write_end, "wb") as fh:  # within the pipe's buffer
+                fh.write(path.read_bytes())
+            piped = reportio.read_loglik_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert np.array_equal(piped.values.view(np.uint64), read_bits(path))
+
+    def test_budget_never_passes_what_the_bytes_can_hold(self):
+        # 60 bytes of draws; a row takes 2 * n_cols bytes at the least: "1,1,1\n"
+        size = len("a,b,c\n") + 10 * len("1,1,1\n")
+        # 1.25 * 60 / 6 = 12.5 rows estimated, 60 // 6 + 1 = 11 possible
+        assert reportio._row_budget(size, "a,b,c", ["1,1,1", "1,1,1"], 3) == 11
+        # 1.25 * 60 / 12 = 6.25 rows estimated
+        assert reportio._row_budget(size, "a,b,c", ["1e0,1e0,1e0"] * 2, 3) == 7
+
+
 class TestMemoryAndOwnership:
     """The reader holds about one S x N array, and the matrix adopts it."""
 
@@ -253,6 +337,17 @@ class TestMemoryAndOwnership:
         assert np.array_equal(m.values.view(np.uint64), values.view(np.uint64))
         assert peak <= 2 * m.values.nbytes
         assert not m.values.flags.writeable
+
+    def test_adopting_allocates_no_matrix_sized_mask(self):
+        values = np.random.default_rng(7).normal(-3.0, 2.0, size=(2000, 500))
+        tracemalloc.start()
+        try:
+            m = pk.LogLikMatrix._adopt(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(m.values, values)
+        assert peak < values.nbytes / 16
 
     def test_constructor_copies_and_freezes_the_copy(self):
         a = np.asfortranarray(np.random.default_rng(6).normal(size=(4, 3)))
