@@ -1,7 +1,10 @@
 """Readers and strict JSON writers in ``pdikit.reportio``."""
 
+import contextlib
+import errno
 import json
 import math
+import mmap
 import os
 import tracemalloc
 
@@ -76,6 +79,47 @@ def read_bits(path):
         return reportio.read_loglik_csv(path, allow_degenerate=True).values.view(np.uint64)
     except reportio.InputFormatError as exc:
         return str(exc).removeprefix(f"{path}: ")
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A ``/dev/fd`` path to a pipe that holds ``data`` (within the pipe's buffer)."""
+    read_end, write_end = os.pipe()
+    try:
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(data)
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+
+
+@contextlib.contextmanager
+def split_reads():
+    """Read every regular matrix file in two processes, whatever its size and the CPUs.
+
+    Yields what each two-process read did, ``"parsed"`` or ``"fell back"``
+    (to the read in one process). On exit no child process is left.
+    """
+    outcomes, real = [], reportio._parse_halves
+
+    def spy(path, size):
+        parsed = real(path, size)
+        outcomes.append("fell back" if parsed is None else "parsed")
+        return parsed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reportio, "_SPLIT_BYTES", 0)
+        mp.setattr(reportio, "_cpus", lambda: 2)
+        mp.setattr(reportio, "_parse_halves", spy)
+        yield outcomes
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def two_processes():
+    with split_reads() as outcomes:
+        yield outcomes
 
 
 class TestMatrixReaderContract:
@@ -172,6 +216,15 @@ class TestMatrixReaderContract:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_bad_utf8_in_a_pipe_names_its_line_and_offset(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with piped(b"a,b\n-1,-2\n-1,\xff\n") as fd_path:
+            assert main(["compute", "--input", fd_path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"pdikit: error: {fd_path}: line 3: not valid UTF-8 (invalid start byte at byte 13)\n"
+        )
+        assert not out.exists()
+
     def test_float_only_literals_take_the_rescan(self, tmp_path):
         path = write(tmp_path, ["a,b,c", "1_0,１,\t-2.5 ", "-1.0,-2.0,-3.0"])
         m = reportio.read_loglik_csv(path)
@@ -244,49 +297,47 @@ def _rows(n_rows, n_cols, cell):
 
 
 class TestRowBudget:
-    """The row count ``np.loadtxt`` is sized for never changes what is read."""
+    """The output's row capacity and the block size never change what is read."""
 
     @pytest.mark.parametrize(
-        "lines, newline, loadtxt_calls",
+        "lines, newline",
         [
-            # later draws much shorter than the first two: the budget runs
-            # out and the rest is parsed by a second loadtxt
+            # later draws much shorter than the first two
             pytest.param(
-                ["a,b,c,d,e", *_rows(2, 5, LONG), *_rows(100, 5, "-1")], "\n", 2, id="short-rest"
+                ["a,b,c,d,e", *_rows(2, 5, LONG), *_rows(100, 5, "-1")], "\n", id="short-rest"
             ),
-            # the first two much shorter than the rest: one loadtxt
+            # the first two much shorter than the rest
             pytest.param(
-                ["a,b,c,d,e", *_rows(2, 5, "-1"), *_rows(100, 5, LONG)], "\n", 1, id="long-rest"
+                ["a,b,c,d,e", *_rows(2, 5, "-1"), *_rows(100, 5, LONG)], "\n", id="long-rest"
             ),
             pytest.param(
                 ["# c", "a,b", "", "-1.5,-2", "# c", "", "-3e-7,-4", "   ", "-5,-6", "#", "-7,-8"],
                 "\n",
-                1,
                 id="comments-and-blanks",
             ),
             pytest.param(
                 ["a,b,c", *_rows(2, 3, LONG), "", *_rows(40, 3, "-2.5"), "# c"],
                 "\r\n",
-                2,
                 id="crlf-short-rest",
             ),
             pytest.param(
                 ["a,b,c", *_rows(2, 3, "-1"), "# c", *_rows(40, 3, LONG), ""],
                 "\r\n",
-                1,
                 id="crlf-long-rest",
             ),
         ],
     )
-    def test_read_is_bitwise_float(self, tmp_path, monkeypatch, lines, newline, loadtxt_calls):
+    def test_read_is_bitwise_float(self, tmp_path, monkeypatch, lines, newline):
         path = tmp_path / "m.csv"
         path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
         cells = [line.split(",") for _, line in splitlines_oracle(path)[1:]]
+        n_cols = len(cells[0])
+        monkeypatch.setattr(reportio, "_BLOCK_CELLS", 7 * n_cols)  # blocks of 7 draw lines
         calls, real_loadtxt = [], np.loadtxt
 
-        def loadtxt(*args, **kwargs):
-            calls.append(kwargs.get("max_rows"))
-            return real_loadtxt(*args, **kwargs)
+        def loadtxt(lines, *args, **kwargs):
+            calls.append(len(lines))
+            return real_loadtxt(lines, *args, **kwargs)
 
         def rescan(*args):
             raise AssertionError("the per-cell re-scan ran")
@@ -294,29 +345,123 @@ class TestRowBudget:
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         monkeypatch.setattr(reportio, "_parse_float", rescan)
         m = reportio.read_loglik_csv(path)
-        assert len(calls) == loadtxt_calls
-        assert calls[0] is not None and (loadtxt_calls == 1) == (calls[0] >= len(cells))
+        full, last = divmod(len(cells), 7)
+        assert calls == [7] * full + [last] * (last > 0)
         assert np.array_equal(m.values.view(np.uint64), oracle(cells).view(np.uint64))
 
-    def test_a_pipe_reads_without_a_budget(self, tmp_path):
+    def test_a_pipe_reads_without_a_budget(self, tmp_path, monkeypatch):
         lines = ["a,b", *_rows(2, 2, "-1"), *_rows(50, 2, LONG)]
         path = write(tmp_path, lines)
-        read_end, write_end = os.pipe()
-        try:
-            with os.fdopen(write_end, "wb") as fh:  # within the pipe's buffer
-                fh.write(path.read_bytes())
-            piped = reportio.read_loglik_csv(f"/dev/fd/{read_end}")
-        finally:
-            os.close(read_end)
-        assert np.array_equal(piped.values.view(np.uint64), read_bits(path))
+        # Blocks of 2 draws into a buffer of 3 rows, doubled as it fills.
+        monkeypatch.setattr(reportio, "_BLOCK_CELLS", 4)
+        with piped(path.read_bytes()) as fd_path:
+            piped_values = reportio.read_loglik_csv(fd_path).values
+        assert np.array_equal(piped_values.view(np.uint64), read_bits(path))
 
-    def test_budget_never_passes_what_the_bytes_can_hold(self):
-        # 60 bytes of draws; a row takes 2 * n_cols bytes at the least: "1,1,1\n"
-        size = len("a,b,c\n") + 10 * len("1,1,1\n")
-        # 1.25 * 60 / 6 = 12.5 rows estimated, 60 // 6 + 1 = 11 possible
-        assert reportio._row_budget(size, "a,b,c", ["1,1,1", "1,1,1"], 3) == 11
-        # 1.25 * 60 / 12 = 6.25 rows estimated
-        assert reportio._row_budget(size, "a,b,c", ["1e0,1e0,1e0"] * 2, 3) == 7
+    def test_a_capacity_the_system_will_not_map_falls_back_to_growing(
+        self, tmp_path, monkeypatch, two_processes
+    ):
+        path = write(tmp_path, ["a,b", *_rows(50, 2, LONG)])  # room for 502 rows: 8 KB
+        real_mmap = mmap.mmap
+
+        def small_only(fileno, length, *args, **kwargs):
+            if length > 4000:
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+            return real_mmap(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", small_only)
+        got = reportio.read_loglik_csv(path).values
+        assert got.tolist() == [[float(LONG)] * 2] * 50
+        assert two_processes == ["fell back"]
+
+    def test_densest_file_fills_the_fixed_buffer(self, tmp_path, two_processes):
+        # Every draw is as short as a draw can be, so the rows fill the
+        # shared buffer sized for the most rows the file's bytes can hold.
+        path = write(tmp_path, ["a,b,c", *_rows(50, 3, "1")])
+        assert reportio.read_loglik_csv(path).values.tolist() == [[1.0] * 3] * 50
+        assert two_processes == ["parsed"]
+
+
+class TestPipedMatrix:
+    """A pipe is read once: a block ``np.loadtxt`` declines is re-scanned from memory."""
+
+    @pytest.mark.parametrize(
+        "draw, message",
+        [
+            ("-1,x", "non-numeric value 'x' at line 3, column 2"),
+            ("-1,-2,-3", "line 3 has 3 values, expected 2"),
+        ],
+        ids=["bad-cell", "ragged-row"],
+    )
+    def test_bad_draw_is_one_positioned_error(self, tmp_path, capsys, draw, message):
+        out = tmp_path / "out"
+        with piped(f"a,b\n-1,-2\n{draw}\n-2,-3\n".encode()) as fd_path:
+            assert main(["compute", "--input", fd_path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"pdikit: error: {fd_path}: {message}\n"
+        assert not out.exists()
+
+    def test_float_only_literal_rescans_only_its_block(self, monkeypatch):
+        lines = ["a,b", "-1,-2", "-3,-4", "# c", "-5,1_0", "-7,-8", "-9,-10"]
+        monkeypatch.setattr(reportio, "_BLOCK_CELLS", 4)  # blocks of 2 draws
+        scanned, real = [], reportio._parse_float
+
+        def spy(path, cell, line_no, col_no):
+            scanned.append((line_no, col_no))
+            return real(path, cell, line_no, col_no)
+
+        monkeypatch.setattr(reportio, "_parse_float", spy)
+        with piped("\n".join(lines).encode()) as fd_path:
+            m = reportio.read_loglik_csv(fd_path)
+        draws = [line for line in lines[1:] if not line.startswith("#")]
+        assert m.values.tolist() == [[float(c) for c in d.split(",")] for d in draws]
+        assert scanned == [(5, 1), (5, 2), (6, 1), (6, 2)]  # the second block only
+
+
+class TestTwoProcessRead:
+    """Read in two processes, a file gives the bits, or the error, it gives in one."""
+
+    @given(matrix_files(), st.data())
+    @settings(max_examples=150)
+    def test_matrix_files_read_alike(self, tmp_path_factory, case, data):
+        lines, cells, line_nos = case
+        k = data.draw(st.integers(0, len(cells) - 1))
+        row = data.draw(st.sampled_from([cells[k], cells[k] + ["1.0"], [*cells[k][1:], "oops"]]))
+        lines[line_nos[k] - 1] = ",".join(row)
+        path = write(tmp_path_factory.mktemp("m"), lines)
+        one = read_bits(path)
+        with split_reads() as outcomes:
+            two = read_bits(path)
+        assert len(outcomes) == 1
+        assert type(two) is type(one)
+        if isinstance(one, str):
+            assert two == one
+        else:
+            assert np.array_equal(two, one)
+
+    @pytest.mark.parametrize("bad_line", [5, 36], ids=["first-half", "second-half"])
+    def test_bad_cell_in_either_half(self, tmp_path, two_processes, bad_line):
+        lines = ["a,b,c"] + [f"-{i}.5,-2,-3" if i % 7 else "# c" for i in range(1, 41)]
+        lines[bad_line - 1] = "-1,oops,-3"
+        path = write(tmp_path, lines)
+        with pytest.raises(reportio.InputFormatError) as err:
+            reportio.read_loglik_csv(path)
+        assert str(err.value) == f"{path}: non-numeric value 'oops' at line {bad_line}, column 2"
+        assert two_processes == ["fell back"]
+
+    @pytest.mark.parametrize("pad", range(0, 120, 4))
+    def test_breaks_next_to_the_midpoint(self, tmp_path, pad):
+        # The midpoint sweeps over every kind of break as the comment grows.
+        breaks = ["\n", "\r\n", "\f", "\u2028", "\r", "\n\n"]
+        text = "\ufeffa,b\r\n#" + "x" * pad + "\n"
+        text += "".join(f"-{i}.25,-{i}{breaks[i % len(breaks)]}" for i in range(1, 31))
+        path = tmp_path / "m.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        one = read_bits(path)
+        with split_reads() as outcomes:
+            two = read_bits(path)
+        assert outcomes == ["parsed"]
+        assert np.array_equal(two, one)
+        assert one.shape == (30, 2)
 
 
 class TestMemoryAndOwnership:
@@ -336,6 +481,11 @@ class TestMemoryAndOwnership:
             tracemalloc.stop()
         assert np.array_equal(m.values.view(np.uint64), values.view(np.uint64))
         assert peak <= 2 * m.values.nbytes
+        # tracemalloc does not see the mapping the rows are parsed into, only
+        # the transients: a few blocks of draw lines and their values.
+        longest = max(len(line) for line in path.read_text().splitlines())
+        block_bytes = reportio._BLOCK_CELLS // 3000 * (longest + 8 * 3000)
+        assert peak <= 3 * block_bytes < m.values.nbytes
         assert not m.values.flags.writeable
 
     def test_adopting_allocates_no_matrix_sized_mask(self):
