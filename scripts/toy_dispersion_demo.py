@@ -10,14 +10,9 @@ import argparse
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import gammaln
 
 import pdikit as pk
 from pdikit import models
-
-
-def gamma_logpdf(x, shape, rate):
-    return shape * np.log(rate) - gammaln(shape) + (shape - 1) * np.log(x) - rate * x
 
 
 def main():
@@ -27,7 +22,7 @@ def main():
     ap.add_argument("--x-high", type=float, default=15.0)
     args = ap.parse_args()
 
-    data = models.simulate_toy_data(10, rate=1.0, seed=args.seed)
+    data = models.simulate_toy_data(10, seed=args.seed)
     print(f"data (n=10, mean {data.mean():.2f}):", np.round(data, 2))
 
     predictive = lambda x: models.toy_posterior_predictive_logpdf(x, data)
@@ -35,13 +30,9 @@ def main():
     target = predictive(args.x_high)
     x_low = brentq(lambda x: predictive(x) - target, 1e-9, mode, xtol=1e-12)
 
-    draws = pk.conjugate_gamma_draws(
-        data, models.TOY_PRIOR_SHAPE, models.TOY_PRIOR_RATE, models.TOY_LIK_SHAPE,
-        args.draws, seed=args.seed,
-    )
-    beta = draws.draws[:, 0]
-    columns = gamma_logpdf(np.array([x_low, args.x_high]), 5.0, beta[:, None])
-    w_low, w_high = pk.summarize(pk.LogLikMatrix(columns))["wapdi"].tolist()
+    draws = models.toy_posterior_draws(data, args.draws, seed=args.seed)
+    pair = models.gamma_toy_model(data, eval_points=[x_low, args.x_high])
+    w_low, w_high = pk.summarize(pk.loglik_matrix(pair, draws))["wapdi"].tolist()
 
     print(f"\npredictive mode at x = {mode:.3f}")
     print(f"log p(x={x_low:.3f} | data) = {predictive(x_low):.6f}")

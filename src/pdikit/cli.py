@@ -24,7 +24,6 @@ from .samplers import (
     SamplerConfig,
     SamplerError,
     adaptive_rw_metropolis,
-    conjugate_gamma_draws,
     loglik_matrix,
     posterior_draws_from,
 )
@@ -221,7 +220,7 @@ def _build_model(cfg: RunConfig) -> _BuiltModel:
             source = cfg.data
         else:
             n = 10 if cfg.synthetic is None else cfg.synthetic
-            data = models.simulate_toy_data(n, rate=1.0, seed=cfg.seed)
+            data = models.simulate_toy_data(n, seed=cfg.seed)
             source = f"synthetic gamma draws (n={n})"
         model = models.gamma_toy_model(data)
         return _BuiltModel(model, None, {"data": source, "n": int(data.size)}, data)
@@ -264,14 +263,7 @@ def _fit_matrix(cfg: RunConfig):
     built = _build_model(cfg)
     if cfg.model == "toy-gamma":
         sampler_name = "conjugate-exact"
-        draws = conjugate_gamma_draws(
-            built.dataset,
-            models.TOY_PRIOR_SHAPE,
-            models.TOY_PRIOR_RATE,
-            models.TOY_LIK_SHAPE,
-            cfg.draws,
-            cfg.seed,
-        )
+        draws = models.toy_posterior_draws(built.dataset, cfg.draws, cfg.seed)
     else:
         sampler_name = "adaptive-rw-metropolis"
         draws = adaptive_rw_metropolis(built.model, cfg.sampler_config())

@@ -5,7 +5,7 @@ Three families:
 * a three-component negative-binomial (NB2) mixture for overdispersed counts,
   with the mean prior moment-matched to the data;
 * a gamma likelihood with fixed shape and a conjugate gamma prior on the rate
-  (the exact-oracle toy model);
+  (the exact-oracle toy model), with its exact posterior and draws;
 * hierarchical logistic regression for vote/sex/race/state tables, in three
   variants (base, +age, +edu).
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import ModelSpec
+from .samplers import ModelSpec, PosteriorDraws, posterior_draws_from
 from .transforms import BlockTransform, IdentityBlock, PositiveBlock, SimplexBlock
 
 __all__ = [
@@ -36,6 +36,8 @@ __all__ = [
     "TOY_PRIOR_SHAPE",
     "TOY_PRIOR_RATE",
     "gamma_toy_model",
+    "toy_posterior",
+    "toy_posterior_draws",
     "toy_posterior_predictive_logpdf",
     "simulate_toy_data",
     "VoteTable",
@@ -248,7 +250,14 @@ TOY_PRIOR_SHAPE = 1.0
 TOY_PRIOR_RATE = 1.0
 
 
-def gamma_toy_model(data, eval_points=None, ids=None) -> ModelSpec:
+def _positive_finite(values, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise ValueError(f"{what} must be strictly positive and finite")
+    return values
+
+
+def gamma_toy_model(data, eval_points=None) -> ModelSpec:
     """Gamma likelihood with fixed shape, gamma prior on the rate.
 
     The single constrained parameter is the rate. ``eval_points`` swaps the
@@ -258,14 +267,8 @@ def gamma_toy_model(data, eval_points=None, ids=None) -> ModelSpec:
     """
     from scipy.special import gammaln
 
-    data = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(data) & (data > 0)):
-        raise ValueError("data must be strictly positive and finite")
-    pts = data if eval_points is None else np.asarray(eval_points, dtype=np.float64)
-    if not np.all(np.isfinite(pts) & (pts > 0)):
-        raise ValueError("eval points must be strictly positive and finite")
-    if ids is None:
-        ids = tuple(f"x{i:03d}={x:g}" for i, x in enumerate(pts))
+    data = _positive_finite(data, "data")
+    pts = data if eval_points is None else _positive_finite(eval_points, "eval points")
 
     a = TOY_LIK_SHAPE
     gammaln_a = gammaln(a)
@@ -295,9 +298,33 @@ def gamma_toy_model(data, eval_points=None, ids=None) -> ModelSpec:
         log_joint=log_joint,
         pointwise_row=pointwise_row,
         data_count=pts.size,
-        datapoint_ids=tuple(ids),
+        datapoint_ids=tuple(f"x{i:03d}={x:g}" for i, x in enumerate(pts)),
         prior_mean=np.array([TOY_PRIOR_SHAPE / TOY_PRIOR_RATE]),
     )
+
+
+def toy_posterior(data) -> tuple[float, float]:
+    """The toy's exact posterior (shape, rate) of the rate given ``data``.
+
+    The gamma prior is conjugate to the gamma likelihood of known shape, so
+    the update is (TOY_PRIOR_SHAPE + N * TOY_LIK_SHAPE, TOY_PRIOR_RATE + sum(data)).
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 1:
+        raise ValueError("data must be 1-D")
+    _positive_finite(data, "data")
+    return (
+        float(TOY_PRIOR_SHAPE + data.size * TOY_LIK_SHAPE),
+        float(TOY_PRIOR_RATE + data.sum()),
+    )
+
+
+def toy_posterior_draws(data, n_draws: int, seed: int) -> PosteriorDraws:
+    """Exact i.i.d. draws of the toy's rate from ``toy_posterior(data)``."""
+    shape, rate = toy_posterior(data)
+    rng = np.random.default_rng(seed)
+    beta = rng.gamma(shape, 1.0 / rate, size=n_draws)
+    return posterior_draws_from(beta[:, None], 1.0, seed)
 
 
 def toy_posterior_predictive_logpdf(x_new, data) -> float:
@@ -311,12 +338,8 @@ def toy_posterior_predictive_logpdf(x_new, data) -> float:
         raise ValueError("x_new must be > 0")
     from scipy.special import gammaln
 
-    from .samplers import conjugate_gamma_posterior
-
     a = TOY_LIK_SHAPE
-    a_post, b_post = conjugate_gamma_posterior(
-        data, TOY_PRIOR_SHAPE, TOY_PRIOR_RATE, a
-    )
+    a_post, b_post = toy_posterior(data)
     return float(
         gammaln(a_post + a)
         - gammaln(a)
@@ -327,10 +350,10 @@ def toy_posterior_predictive_logpdf(x_new, data) -> float:
     )
 
 
-def simulate_toy_data(n: int, rate: float = 1.0, seed: int = 0) -> np.ndarray:
-    """Draw n observations from the toy likelihood Gam(shape=5, rate)."""
+def simulate_toy_data(n: int, seed: int = 0) -> np.ndarray:
+    """Draw n observations from the toy likelihood Gam(shape=5, rate=1)."""
     rng = np.random.default_rng(seed)
-    return rng.gamma(TOY_LIK_SHAPE, 1.0 / rate, size=n)
+    return rng.gamma(TOY_LIK_SHAPE, 1.0, size=n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Desk-scale posterior sampling: adaptive random-walk Metropolis plus exact
-conjugate sampling for the gamma-gamma model.
+"""Desk-scale posterior sampling: adaptive random-walk Metropolis, and the
+S x N log-likelihood matrix of a model's draws (``loglik_matrix``). The gamma
+toy's exact conjugate draws live with the toy, in ``models``.
 
 The Metropolis chain walks in unconstrained space, so the target is
 log_joint(constrain(z)) + log|J(z)|. Updates are component-wise: every
@@ -42,8 +43,6 @@ __all__ = [
     "posterior_draws_from",
     "adaptive_rw_metropolis",
     "loglik_matrix",
-    "conjugate_gamma_posterior",
-    "conjugate_gamma_draws",
 ]
 
 
@@ -298,39 +297,3 @@ def _cell_columns(cells, n: int) -> tuple[np.ndarray, np.ndarray]:
     rank[order] = np.arange(order.size)
     return first[order], rank[inverse]
 
-
-def conjugate_gamma_posterior(
-    data, prior_shape: float, prior_rate: float, lik_shape: float
-) -> tuple[float, float]:
-    """Posterior (shape, rate) for a gamma rate under a gamma prior.
-
-    Gamma likelihood with known shape ``lik_shape`` and unknown rate, gamma
-    prior on the rate: the update is (prior_shape + N * lik_shape,
-    prior_rate + sum(data)).
-    """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 1:
-        raise ValueError("data must be 1-D")
-    if np.any(data <= 0) or not np.all(np.isfinite(data)):
-        raise ValueError("data must be strictly positive and finite")
-    if min(prior_shape, prior_rate, lik_shape) <= 0:
-        raise ValueError("prior_shape, prior_rate and lik_shape must be > 0")
-    return (
-        float(prior_shape + data.size * lik_shape),
-        float(prior_rate + data.sum()),
-    )
-
-
-def conjugate_gamma_draws(
-    data,
-    prior_shape: float,
-    prior_rate: float,
-    lik_shape: float,
-    n_draws: int,
-    seed: int,
-) -> PosteriorDraws:
-    """Exact i.i.d. draws of the gamma rate from its conjugate posterior."""
-    shape, rate = conjugate_gamma_posterior(data, prior_shape, prior_rate, lik_shape)
-    rng = np.random.default_rng(seed)
-    beta = rng.gamma(shape, 1.0 / rate, size=n_draws)
-    return posterior_draws_from(beta[:, None], 1.0, seed)

@@ -149,6 +149,14 @@ class TestParseArgs:
                 "initial_step_size must be finite and > 0",
             ),
             (["compute", "--input", "m.csv", "--seed", "-1"], "seed must be >= 0"),
+            (
+                ["fit", "--model", "presidents-nb2", "--synthetic", "20"],
+                "presidents-nb2 uses the embedded dataset only",
+            ),
+            (
+                ["fit", "--model", "toy-gamma", "--group-by", "state"],
+                "--group-by applies to voting models only",
+            ),
         ],
     )
     def test_bad_sampler_flag_exits_2_for_every_model(self, tmp_path, capsys, argv, message):
@@ -478,6 +486,39 @@ class TestFitCommand:
         assert len(lines) == 45
         assert "Harrison-09,31" in lines
 
+    def test_toy_dump_data_fits_like_the_synthetic_data(self, tmp_path, capsys):
+        argv = ["fit", "--model", "toy-gamma", "--draws", "200", "--seed", "4"]
+        synthetic = argv + ["--synthetic", "6"]
+        assert main(synthetic + ["--dump-data", "--out", str(tmp_path / "dump")]) == 0
+        data = tmp_path / "dump" / "data.csv"
+        assert capsys.readouterr().out == f"{data}\n"
+        lines = data.read_text().splitlines()
+        assert lines[0].startswith("# pdikit") and lines[1] == "x" and len(lines) == 8
+        assert main(synthetic + ["--out", str(tmp_path / "syn")]) == 0
+        assert main(argv + ["--data", str(data), "--out", str(tmp_path / "file")]) == 0
+        summary = (tmp_path / "file" / "summary.csv").read_bytes()
+        assert summary == (tmp_path / "syn" / "summary.csv").read_bytes()
+        assert json.loads((tmp_path / "file" / "run.json").read_text())["data"] == str(data)
+
+    def test_dump_data_refused_for_voting(self, tmp_path, capsys):
+        out = tmp_path / "dump"
+        argv = ["fit", "--model", "voting-base", "--synthetic", "20", "--dump-data"]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "pdikit: error: --dump-data is not supported for voting-base; "
+            "voting data comes from --data or --synthetic\n"
+        )
+        assert not (out / "data.csv").exists()
+
+    def test_voting_age_groups_by_age(self, tmp_path):
+        out = tmp_path / "age"
+        argv = ["fit", "--model", "voting-age", "--synthetic", "200", "--warmup", "100"]
+        argv += ["--draws", "50", "--seed", "1", "--group-by", "age"]
+        assert main(argv + ["--out", str(out)]) == 0
+        groups = json.loads((out / "run.json").read_text())["group_means"]
+        assert sorted(groups) == ["18-29", "30-44", "45-64", "65+"]
+        assert sum(g["count"] for g in groups.values()) == 200
+
     def test_voting_data_csv(self, tmp_path):
         data = tmp_path / "votes.csv"
         rows = ["vote,sex,race,state"]
@@ -722,6 +763,14 @@ class TestCheckLemmaCommand:
         assert run["sampler"] == "conjugate-exact"
         assert (run["acceptance_rate"], run["sampler_warnings"]) == (1.0, [])
 
+    def test_top_k_keeps_the_first_rows(self, tmp_path):
+        argv = ["check-lemma", "--model", "toy-gamma", "--draws", "200", "--seed", "5"]
+        assert main(argv + ["--out", str(tmp_path / "all")]) == 0
+        assert main(argv + ["--top-k", "3", "--out", str(tmp_path / "top")]) == 0
+        every = (tmp_path / "all" / "lemma.csv").read_text().splitlines()
+        top = (tmp_path / "top" / "lemma.csv").read_text().splitlines()
+        assert len(every) == 12 and top == every[:5]  # meta line, header, 3 rows
+
     def test_sampler_warning_printed_and_recorded(self, tmp_path, capsys):
         out = tmp_path / "lem"
         argv = ["check-lemma", "--model", "voting-base", "--synthetic", "50"]
@@ -773,8 +822,28 @@ class TestGoldenDigests:
                         "09239dab65fe3a6affaf45e1bae25e9abc30e3114b2ef6807615490b32b89c90",
                 },
             ),
+            (
+                ["fit", "--model", "toy-gamma", "--synthetic", "25", "--draws", "500",
+                 "--seed", "7", "--formats", "csv,ndjson,svg"],
+                {
+                    "summary.csv":
+                        "44f636c3725a03234ccac6f4a62501c97630d9536fe4340075f68f3bb81eb1b0",
+                    "summary.ndjson":
+                        "e30a0653c033ced4654e9172f381304ee69d5a8eaaa0461a75a3213524c575e1",
+                    "wapdi.svg":
+                        "96deaaa125d330218b863be0bbb21ab1f62ca276ec394f521419e5380843c738",
+                },
+            ),
+            (
+                ["check-lemma", "--model", "toy-gamma", "--synthetic", "25", "--draws", "500",
+                 "--seed", "7"],
+                {
+                    "lemma.csv":
+                        "aa18558700be5e2104bf38e0c0085f984dfc9a99ce1756df939b85fa16448132",
+                },
+            ),
         ],
-        ids=["fit-presidents", "check-lemma-voting"],
+        ids=["fit-presidents", "check-lemma-voting", "fit-toy", "check-lemma-toy"],
     )
     def test_output_digest(self, tmp_path, argv, digests):
         assert main(argv + ["--out", str(tmp_path)]) == 0

@@ -166,6 +166,26 @@ class TestNB2MixtureModel:
             assert model.log_prior(theta) == prior
             assert model.log_joint(theta) == prior + expected.sum()
 
+    def test_non_finite_rows_bitwise_equal_scipy(self):
+        # Rows the max shift leaves non-finite take scipy's direct formula.
+        # Without it an all -inf row is NaN, where scipy gives -inf: the
+        # sampler stops on a NaN target but rejects a -inf one.
+        a = np.array(
+            [
+                [-np.inf, -np.inf, -np.inf],
+                [-1.0, -2.0, -3.0],
+                [-1.0, np.inf, -3.0],
+                [-1.0, np.nan, -3.0],
+                [-0.5, -2.0, -1.0],
+            ]
+        )
+        b = np.full_like(a, 0.25)
+        b[1] = 0.0
+        got = models._logsumexp_components(a.T[:, :, None], b.T[:, :, None])[:, 0]
+        want = np.array([logsumexp(row, b=w) for row, w in zip(a, b)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert want[0] == want[1] == -np.inf
+
     def test_repeated_counts_bitwise_equal_scipy(self):
         # The components are scored once per distinct count and gathered back;
         # here every count repeats, in no particular order.
@@ -250,7 +270,7 @@ class TestNB2MixtureModel:
 class TestGammaToy:
     def test_posterior_predictive_matches_quadrature(self):
         data = models.simulate_toy_data(10, seed=123)
-        a_post, b_post = pk.conjugate_gamma_posterior(data, 1.0, 1.0, 5.0)
+        a_post, b_post = models.toy_posterior(data)
         for x in (0.5, 5.0, 15.0):
             closed = models.toy_posterior_predictive_logpdf(x, data)
             val, _ = quad(
@@ -271,7 +291,7 @@ class TestGammaToy:
 
     def test_posterior_predictive_matches_monte_carlo(self):
         data = models.simulate_toy_data(10, seed=123)
-        draws = pk.conjugate_gamma_draws(data, 1.0, 1.0, 5.0, 20000, seed=77)
+        draws = models.toy_posterior_draws(data, 20000, seed=77)
         beta = draws.draws[:, 0]
         for x in (0.5, 5.0, 15.0):
             col = gamma_logpdf(x, 5.0, beta)

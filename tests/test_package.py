@@ -55,6 +55,7 @@ assert main(["report", "--input", {str(out / "summary.csv")!r}, "--top-k", "2",
              "--out", {str(out)!r}]) == 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
+assert not {{"pdikit.models", "pdikit.datasets"}} & set(sys.modules)
 """
     run_fresh(code)
     assert (out / "report.csv").is_file()

@@ -553,6 +553,31 @@ class TestReaderLineNumbers:
         path.write_text("\n".join(lines[:2] + ["a,1.0"]) + "\n")
         self._raises(reportio.read_summary_csv, path, "ragged row at line 3")
 
+    @pytest.mark.parametrize(
+        "reader, lines, message",
+        [
+            ("read_loglik_csv", [], "empty file"),
+            ("read_loglik_csv", ["# only a comment", ""], "empty file"),
+            ("read_summary_csv", ["# pdikit", ""], "empty summary file"),
+            (
+                "read_summary_csv",
+                ["id,wapdi", "a,1.0"],
+                "unexpected summary header ['id', 'wapdi']",
+            ),
+            ("read_group_labels_csv", ["id,label", "a,g1", "# c", "a,g2"], "duplicate id 'a'"),
+            ("read_values_csv", [], "empty file"),
+            ("read_values_csv", ["# c", "x"], "no numeric rows"),
+            (
+                "read_votes_csv",
+                ["# c", "vote,sex,race,state"],
+                "need a header and at least one row",
+            ),
+            ("read_votes_csv", ["vote,sex,race,state", "# c", "1,0,0"], "ragged row at line 3"),
+        ],
+    )
+    def test_refusals(self, tmp_path, reader, lines, message):
+        self._raises(getattr(reportio, reader), write(tmp_path, lines), message)
+
 
 @pytest.mark.parametrize("col_no", range(2, 9))
 def test_bad_float_cell_names_its_position(tmp_path, col_no):

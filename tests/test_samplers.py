@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 import pdikit as pk
+from pdikit.models import gamma_toy_model, simulate_toy_data, toy_posterior, toy_posterior_draws
 from pdikit.taylor import pointwise_gradient
 from pdikit.transforms import BlockTransform, IdentityBlock, PositiveBlock, SimplexBlock
 
@@ -539,30 +540,30 @@ class TestAdaptiveMetropolis:
 class TestConjugateGamma:
     def test_update_fixture(self):
         data = np.full(10, 5.0)
-        assert pk.conjugate_gamma_posterior(data, 1.0, 1.0, 5.0) == (51.0, 51.0)
+        assert toy_posterior(data) == (51.0, 51.0)
 
     def test_empty_data_returns_prior(self):
-        shape, rate = pk.conjugate_gamma_posterior(np.array([]), 2.0, 3.0, 5.0)
-        assert (shape, rate) == (2.0, 3.0)
+        shape, rate = toy_posterior(np.array([]))
+        assert (shape, rate) == (1.0, 1.0)
 
     def test_doubling_additivity(self):
         rng = np.random.default_rng(0)
         data = rng.gamma(5.0, 1.0, size=8)
-        s1, r1 = pk.conjugate_gamma_posterior(data, 1.0, 1.0, 5.0)
-        s2, r2 = pk.conjugate_gamma_posterior(np.concatenate([data, data]), 1.0, 1.0, 5.0)
+        s1, r1 = toy_posterior(data)
+        s2, r2 = toy_posterior(np.concatenate([data, data]))
         assert s2 == pytest.approx(s1 + data.size * 5.0)
         assert r2 == pytest.approx(r1 + data.sum())
 
     def test_rejects_nonpositive_data(self):
         with pytest.raises(ValueError):
-            pk.conjugate_gamma_posterior(np.array([1.0, -2.0]), 1.0, 1.0, 5.0)
+            toy_posterior(np.array([1.0, -2.0]))
 
     def test_posterior_matches_quadrature_oracle(self):
         # Normalize prior x likelihood numerically and compare its mean to the
         # closed-form posterior mean.
         rng = np.random.default_rng(42)
         data = rng.gamma(5.0, 1.0, size=6)
-        a_post, b_post = pk.conjugate_gamma_posterior(data, 1.0, 1.0, 5.0)
+        a_post, b_post = toy_posterior(data)
 
         def unnorm(beta):
             log_lik = np.sum(
@@ -577,15 +578,13 @@ class TestConjugateGamma:
 
     def test_exact_draws_match_posterior_moments(self):
         data = np.full(10, 5.0)
-        d = pk.conjugate_gamma_draws(data, 1.0, 1.0, 5.0, 40000, seed=1)
+        d = toy_posterior_draws(data, 40000, seed=1)
         assert d.posterior_mean[0] == pytest.approx(1.0, abs=0.01)
         assert d.acceptance_rate == 1.0
 
     def test_mh_agrees_with_analytic_posterior_mean(self):
-        from pdikit.models import gamma_toy_model, simulate_toy_data
-
-        data = simulate_toy_data(10, rate=1.0, seed=123)
-        a_post, b_post = pk.conjugate_gamma_posterior(data, 1.0, 1.0, 5.0)
+        data = simulate_toy_data(10, seed=123)
+        a_post, b_post = toy_posterior(data)
         model = gamma_toy_model(data)
         d = pk.adaptive_rw_metropolis(
             model, pk.SamplerConfig(warmup_steps=2000, kept_draws=20000, seed=9)
@@ -635,11 +634,9 @@ class TestLogLikMatrixFromDraws:
         assert not mat.values.flags.writeable
 
     def test_entries_and_row_sums(self):
-        from pdikit.models import gamma_toy_model, simulate_toy_data
-
         data = simulate_toy_data(4, seed=5)
         model = gamma_toy_model(data)
-        draws = pk.conjugate_gamma_draws(data, 1.0, 1.0, 5.0, 50, seed=2)
+        draws = toy_posterior_draws(data, 50, seed=2)
         mat = pk.loglik_matrix(model, draws)
         assert mat.values.shape == (50, 4)
         # factorization: row sums equal the likelihood part of the log joint
@@ -649,8 +646,6 @@ class TestLogLikMatrixFromDraws:
             assert mat.values[s].sum() == pytest.approx(total, rel=1e-10)
 
     def test_single_draw_equals_pointwise(self):
-        from pdikit.models import gamma_toy_model
-
         model = gamma_toy_model(np.array([1.0, 2.0]))
         theta = np.array([0.7])
         row = model.pointwise_row(theta)

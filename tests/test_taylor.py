@@ -27,7 +27,7 @@ def toy_setup():
     data = models.simulate_toy_data(10, seed=123)
     grid = np.linspace(0.4, 16.0, 40)
     model = models.gamma_toy_model(data, eval_points=grid)
-    draws = pk.conjugate_gamma_draws(data, 1.0, 1.0, 5.0, 20000, seed=77)
+    draws = models.toy_posterior_draws(data, 20000, seed=77)
     return data, grid, model, draws
 
 
