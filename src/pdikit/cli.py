@@ -331,29 +331,30 @@ def _cmd_compute(cfg: RunConfig) -> int:
 
 def _cmd_fit(cfg: RunConfig) -> int:
     if cfg.dump_data:
-        return _dump_data(cfg, _build_model(cfg))
+        return _dump_data(cfg)
     built, _, matrix, meta = _fit_matrix(cfg)
     report = rank_report(summarize(matrix), matrix.datapoint_ids, built.labels)
     _write_outputs(Path(cfg.out), report, cfg, meta)
     return 0
 
 
-def _dump_data(cfg: RunConfig, built: _BuiltModel) -> int:
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    target = outdir / "data.csv"
+def _dump_data(cfg: RunConfig) -> int:
+    if cfg.model in _VOTING_VARIANTS:  # before anything is built or written
+        raise reportio.InputFormatError(
+            f"--dump-data is not supported for {cfg.model}; "
+            "voting data comes from --data or --synthetic"
+        )
+    built = _build_model(cfg)
     meta = reportio.meta_line(cfg.seed)
     if cfg.model == "presidents-nb2":
         lines = [meta, "id,days"] + [
             f"{i},{int(d)}" for i, d in zip(built.model.datapoint_ids, built.dataset)
         ]
-    elif cfg.model == "toy-gamma":
-        lines = [meta, "x"] + [repr(float(x)) for x in built.dataset]
     else:
-        raise reportio.InputFormatError(
-            f"--dump-data is not supported for {cfg.model}; "
-            "voting data comes from --data or --synthetic"
-        )
+        lines = [meta, "x"] + [repr(float(x)) for x in built.dataset]
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    target = outdir / "data.csv"
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(target)
     return 0

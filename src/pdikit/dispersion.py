@@ -60,7 +60,7 @@ _BAD_ID_CHARS = re.compile('[,"\n\r\v\f\x1c-\x1e\x85\u2028\u2029]')
 BLOCK_CELLS = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogLikMatrix:
     """S x N matrix of pointwise log-likelihoods plus column labels.
 

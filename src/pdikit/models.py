@@ -158,8 +158,9 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
     if not np.all(np.isfinite(data) & (data >= 0) & (data == np.floor(data))):
         raise ValueError("counts must be non-negative integers")
     mu_shape, mu_rate = moment_match_mu_prior(data)
-    if ids is None:
-        ids = tuple(str(int(x)) for x in data)
+    ids = tuple(str(int(x)) for x in data) if ids is None else tuple(ids)
+    if len(ids) != data.size:
+        raise ValueError(f"{len(ids)} datapoint ids for {data.size} counts")
 
     K = _NB2_K
     # Everything that does not depend on theta, evaluated once with the same
@@ -214,8 +215,7 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
         log_prior=log_prior,
         log_joint=log_joint,
         pointwise_row=pointwise_row,
-        data_count=data.size,
-        datapoint_ids=tuple(ids),
+        datapoint_ids=ids,
         prior_mean=prior_mean,
         cells=inverse,
     )
@@ -252,6 +252,8 @@ TOY_PRIOR_RATE = 1.0
 
 def _positive_finite(values, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"{what} must be 1-D")
     if not np.all(np.isfinite(values) & (values > 0)):
         raise ValueError(f"{what} must be strictly positive and finite")
     return values
@@ -297,7 +299,6 @@ def gamma_toy_model(data, eval_points=None) -> ModelSpec:
         log_prior=log_prior,
         log_joint=log_joint,
         pointwise_row=pointwise_row,
-        data_count=pts.size,
         datapoint_ids=tuple(f"x{i:03d}={x:g}" for i, x in enumerate(pts)),
         prior_mean=np.array([TOY_PRIOR_SHAPE / TOY_PRIOR_RATE]),
     )
@@ -309,10 +310,7 @@ def toy_posterior(data) -> tuple[float, float]:
     The gamma prior is conjugate to the gamma likelihood of known shape, so
     the update is (TOY_PRIOR_SHAPE + N * TOY_LIK_SHAPE, TOY_PRIOR_RATE + sum(data)).
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 1:
-        raise ValueError("data must be 1-D")
-    _positive_finite(data, "data")
+    data = _positive_finite(data, "data")
     return (
         float(TOY_PRIOR_SHAPE + data.size * TOY_LIK_SHAPE),
         float(TOY_PRIOR_RATE + data.sum()),
@@ -376,7 +374,7 @@ HIER_VARIANTS = ("base", "with_age", "with_edu")
 _HYPER_SCALE = 10.0  # Normal(0, 10) hyperpriors on group means and scales
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoteTable:
     """Observations for the logistic model: one row per respondent.
 
@@ -522,7 +520,6 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         log_prior=log_prior,
         log_joint=log_joint,
         pointwise_row=pointwise_row,
-        data_count=table.n,
         datapoint_ids=table.row_ids(),
         prior_mean=np.array(prior_mean),
         cells=inverse,

@@ -80,14 +80,15 @@ class SamplerConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """A model as the sampler and estimators see it.
 
     ``log_joint``, ``log_prior`` and ``pointwise_row`` take constrained
     parameter vectors along the last axis, (..., P), and return (...), (...)
     and (..., N): one log density, one log prior and one row of N pointwise
-    log-likelihoods per theta, where ``...`` is () or (R,). One (P,) theta
+    log-likelihoods per theta, where ``...`` is () or (R,) and N is
+    ``data_count``, the number of ``datapoint_ids``. One (P,) theta
     gives a float (``np.float64``) or a length-N row; an (R, P) batch gives
     (R,) or (R, N), and each of its rows must be bitwise equal to the same
     theta evaluated alone, whatever else is in the batch: the sampler scores
@@ -109,7 +110,6 @@ class ModelSpec:
     log_prior: Callable[[np.ndarray], float | np.ndarray]
     log_joint: Callable[[np.ndarray], float | np.ndarray]
     pointwise_row: Callable[[np.ndarray], np.ndarray]
-    data_count: int
     datapoint_ids: tuple[str, ...]
     prior_mean: np.ndarray
     cells: np.ndarray | None = None
@@ -118,8 +118,12 @@ class ModelSpec:
     def dim(self) -> int:
         return self.transform.unconstrained_dim
 
+    @property
+    def data_count(self) -> int:
+        return len(self.datapoint_ids)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class PosteriorDraws:
     """S constrained draws plus their first two sample moments."""
 

@@ -33,7 +33,7 @@ __all__ = [
 _FD_STEP = float(np.cbrt(np.finfo(np.float64).eps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaylorRow:
     datapoint_id: str
     wapdi_exact: float
@@ -42,7 +42,7 @@ class TaylorRow:
     gradient: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaylorReport:
     rows: tuple[TaylorRow, ...]  # sorted by abs_error, largest first
     posterior_mean: np.ndarray

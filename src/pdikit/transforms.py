@@ -3,6 +3,8 @@
 Samplers walk in unconstrained R^d; models live on products of identity,
 positive, and simplex blocks. Each block maps back and forth and reports the
 log-absolute-Jacobian of the unconstrained -> constrained direction.
+``BlockTransform`` concatenates blocks and walks them in block order, each
+with its own slices of the two vectors, in all three of its methods.
 
 ``constrain`` and ``log_jacobian`` are written once over the last axis:
 (..., P) points give (..., P') points and a (...) log-Jacobian, with ``...``
@@ -138,52 +140,41 @@ class SimplexBlock:
 
 @dataclass(frozen=True)
 class BlockTransform:
-    """Concatenation of constraint blocks covering a full parameter vector."""
+    """Concatenation of constraint blocks covering a full parameter vector.
+
+    One layout serves ``constrain``, ``unconstrain`` and ``log_jacobian``:
+    each block with its unconstrained and constrained slices, in block order.
+    """
 
     blocks: tuple
     unconstrained_dim: int = field(init=False, repr=False, compare=False)
     constrained_dim: int = field(init=False, repr=False, compare=False)
-    # (block, unconstrained slice, constrained slice) for each run of blocks:
-    # a run of adjacent identity blocks, or of adjacent positive blocks, is
-    # one block of the run's size; every other block is a run of its own.
-    _runs: tuple = field(init=False, repr=False, compare=False)
-    # (block, unconstrained slice) of each block with a log-Jacobian that is
-    # not identically zero, in block order, unmerged: a merged run would sum
-    # its terms in another order and change the last bits of the total.
-    _scored: tuple = field(init=False, repr=False, compare=False)
+    _layout: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, blocks):
         blocks = tuple(blocks)
-        runs, scored = [], []
+        layout = []
         i = j = 0
         for b in blocks:
             zs, ts = slice(i, i + b.unconstrained_size), slice(j, j + b.constrained_size)
-            if not isinstance(b, IdentityBlock):
-                scored.append((b, zs))
+            layout.append((b, zs, ts))
             i, j = zs.stop, ts.stop
-            mergeable = isinstance(b, (IdentityBlock, PositiveBlock)) and bool(runs)
-            if mergeable and type(runs[-1][0]) is type(b):
-                run, run_zs, run_ts = runs.pop()
-                b = type(b)(run.size + b.size)
-                zs, ts = slice(run_zs.start, i), slice(run_ts.start, j)
-            runs.append((b, zs, ts))
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "unconstrained_dim", i)
         object.__setattr__(self, "constrained_dim", j)
-        object.__setattr__(self, "_runs", tuple(runs))
-        object.__setattr__(self, "_scored", tuple(scored))
+        object.__setattr__(self, "_layout", tuple(layout))
 
     def constrain(self, z):
         z = np.asarray(z, dtype=np.float64)
         out = np.empty(z.shape[:-1] + (self.constrained_dim,))
-        for b, zs, ts in self._runs:
+        for b, zs, ts in self._layout:
             out[..., ts] = b.constrain(z[..., zs])
         return out
 
     def unconstrain(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         out = np.empty(self.unconstrained_dim)
-        for b, zs, ts in self._runs:
+        for b, zs, ts in self._layout:
             out[zs] = b.unconstrain(theta[ts])
         return out
 
@@ -193,6 +184,7 @@ class BlockTransform:
         # can reach (it starts at +0.0, so it is never -0.0).
         z = np.asarray(z, dtype=np.float64)
         total = np.zeros(z.shape[:-1])
-        for b, zs in self._scored:
-            total = total + b.log_jacobian(z[..., zs])
+        for b, zs, _ in self._layout:
+            if not isinstance(b, IdentityBlock):
+                total = total + b.log_jacobian(z[..., zs])
         return total[()]  # [()] makes one point's 0-d total a float

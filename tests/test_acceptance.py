@@ -188,7 +188,6 @@ def test_criterion_6_lemma_diagnostics(toy_posterior):
         log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
         log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
         pointwise_row=lambda th: np.full(np.shape(th)[:-1] + (1,), -2.0),
-        data_count=1,
         datapoint_ids=("x",),
         prior_mean=np.array([1.0]),
     )

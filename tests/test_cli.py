@@ -508,7 +508,7 @@ class TestFitCommand:
             "pdikit: error: --dump-data is not supported for voting-base; "
             "voting data comes from --data or --synthetic\n"
         )
-        assert not (out / "data.csv").exists()
+        assert not out.exists()
 
     def test_voting_age_groups_by_age(self, tmp_path):
         out = tmp_path / "age"

@@ -266,6 +266,10 @@ class TestNB2MixtureModel:
         with pytest.raises(ValueError, match="counts must be non-negative integers"):
             models.nb2_mixture_model(counts, ids=["a", "b", "c", "d"])
 
+    def test_rejects_ids_of_another_length(self):
+        with pytest.raises(ValueError, match="2 datapoint ids for 43 counts"):
+            models.nb2_mixture_model(datasets.presidents_days(), ids=("a", "b"))
+
 
 class TestGammaToy:
     def test_posterior_predictive_matches_quadrature(self):
@@ -328,6 +332,16 @@ class TestGammaToy:
     def test_rejects_non_finite_eval_points(self, bad):
         with pytest.raises(ValueError, match="eval points must be strictly positive and finite"):
             models.gamma_toy_model(np.array([1.0, 2.0]), eval_points=[0.5, bad])
+
+    def test_rejects_data_not_1d(self):
+        with pytest.raises(ValueError, match="data must be 1-D"):
+            models.gamma_toy_model(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="data must be 1-D"):
+            models.toy_posterior(np.ones((2, 2)))
+
+    def test_rejects_eval_points_not_1d(self):
+        with pytest.raises(ValueError, match="eval points must be 1-D"):
+            models.gamma_toy_model(np.array([1.0, 2.0]), eval_points=np.ones((2, 2)))
 
     def test_factorization_identity(self):
         data = models.simulate_toy_data(7, seed=3)
@@ -612,6 +626,9 @@ def _built_in_models():
     out = {
         "nb2": models.nb2_mixture_model(days, datasets.presidents_ids()),
         "gamma-toy": models.gamma_toy_model(models.simulate_toy_data(12, seed=2)),
+        "gamma-toy-eval": models.gamma_toy_model(
+            models.simulate_toy_data(12, seed=2), eval_points=[0.5, 1.0, 2.0, 4.0, 8.0]
+        ),
     }
     for variant in models.HIER_VARIANTS:
         table, _ = models.simulate_votes(400, seed=1, variant=variant)
@@ -620,6 +637,17 @@ def _built_in_models():
 
 
 BUILT_IN_MODELS = _built_in_models()
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN_MODELS))
+def test_sizes_agree_with_the_ids_and_the_transform(name):
+    model = BUILT_IN_MODELS[name]
+    n = len(model.datapoint_ids)
+    assert model.data_count == n
+    assert model.pointwise_row(model.prior_mean).shape == (n,)
+    if model.cells is not None:
+        assert len(model.cells) == n
+    assert model.prior_mean.shape == (model.transform.constrained_dim,)
 
 
 class TestBatchedTarget:

@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import pdikit
 
 
@@ -14,6 +17,36 @@ def test_public_names_are_unique_and_resolve():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(pdikit, name), name
+
+
+def _records():
+    """A maker for each record that holds arrays; two calls give equal contents."""
+    from pdikit import models
+
+    values, ids = np.array([[-1.0, -2.0], [-1.5, -2.5]]), ("a", "b")
+
+    def taylor_row():
+        return pdikit.TaylorRow("a", 0.1, 0.2, 0.1, np.zeros(2))
+
+    return {
+        "LogLikMatrix": lambda: pdikit.LogLikMatrix(values, ids),
+        "MismatchReport": lambda: pdikit.rank_report(
+            pdikit.summarize(pdikit.LogLikMatrix(values, ids)), ids
+        ),
+        "ModelSpec": lambda: models.gamma_toy_model([1.0, 2.0]),
+        "PosteriorDraws": lambda: pdikit.posterior_draws_from(values, 0.5, 0),
+        "TaylorRow": taylor_row,
+        "TaylorReport": lambda: pdikit.TaylorReport((taylor_row(),), np.zeros(2), np.ones(2)),
+        "VoteTable": lambda: models.simulate_votes(10, seed=0)[0],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_records_with_arrays_compare_by_identity(name):
+    make = _records()[name]
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_readme_quick_start_runs():

@@ -39,7 +39,6 @@ def gaussian_model(sd=1.0):
         log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
         log_joint=lambda th: -0.5 * (th[..., 0] / sd) ** 2,
         pointwise_row=lambda th: -0.5 * (th[..., :1] / sd) ** 2,
-        data_count=1,
         datapoint_ids=("x",),
         prior_mean=np.array([0.0]),
     )
@@ -52,7 +51,6 @@ def one_dim_model(log_joint):
         log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
         log_joint=log_joint,
         pointwise_row=lambda th: np.zeros(np.shape(th)[:-1] + (1,)),
-        data_count=1,
         datapoint_ids=("x",),
         prior_mean=np.array([0.0]),
     )
@@ -85,7 +83,7 @@ def per_block_transform(blocks, z):
 
 
 _I, _P, _S = IdentityBlock, PositiveBlock, SimplexBlock
-# Adjacent identity and adjacent positive blocks (merged by BlockTransform),
+# Adjacent identity and adjacent positive blocks,
 # a simplex between them, and an all-identity transform.
 TRANSFORM_LAYOUTS = [
     [_I(2), _I(1), _P(1), _I(8)],
@@ -363,7 +361,6 @@ def _start_guarded_model(raise_instead):
         log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
         log_joint=log_joint,
         pointwise_row=lambda th: np.zeros(np.shape(th)[:-1] + (1,)),
-        data_count=1,
         datapoint_ids=("x",),
         prior_mean=np.zeros(2),
     )
@@ -420,7 +417,6 @@ def test_functions_written_for_one_theta_are_refused():
         log_prior=lambda th: 0.0,
         log_joint=lambda th: float(-0.5 * np.ravel(th)[0] ** 2),
         pointwise_row=lambda th: np.array([-0.5 * np.ravel(th)[0] ** 2]),
-        data_count=1,
         datapoint_ids=("x",),
         prior_mean=np.array([0.0]),
     )
@@ -524,7 +520,6 @@ class TestAdaptiveMetropolis:
             log_prior=log_joint,
             log_joint=log_joint,
             pointwise_row=lambda th: np.zeros(np.shape(th)[:-1] + (1,)),
-            data_count=1,
             datapoint_ids=("x",),
             prior_mean=np.array([1 / 3, 1 / 3, 1 / 3, 1.0]),
         )
@@ -675,7 +670,6 @@ class TestLogLikMatrixFromDraws:
                 log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
                 log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
                 pointwise_row=pointwise_row,
-                data_count=n,
                 datapoint_ids=tuple("abcde"[:n]),
                 prior_mean=np.array([0.0]),
                 cells=cells,
@@ -703,7 +697,6 @@ class TestLogLikMatrixFromDraws:
             log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
             log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
             pointwise_row=row,
-            data_count=2,
             datapoint_ids=("a", "b"),
             prior_mean=np.array([0.0]),
         )

@@ -47,7 +47,6 @@ class TestGradient:
             log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
             log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
             pointwise_row=lambda th: np.full(np.shape(th)[:-1] + (1,), -1.5),
-            data_count=1,
             datapoint_ids=("x",),
             prior_mean=np.zeros(2),
         )
@@ -97,7 +96,6 @@ class TestTaylorValue:
             log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
             log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
             pointwise_row=lambda th: np.full(np.shape(th)[:-1] + (1,), -1.5),
-            data_count=1,
             datapoint_ids=("x",),
             prior_mean=np.zeros(2),
         )
@@ -209,7 +207,6 @@ def tied_and_singular_model():
         log_prior=lambda th: np.zeros(np.shape(th)[:-1]),
         log_joint=lambda th: np.zeros(np.shape(th)[:-1]),
         pointwise_row=pointwise_row,
-        data_count=4,
         datapoint_ids=("a", "z", "b", "c"),
         prior_mean=np.zeros(1),
     )
