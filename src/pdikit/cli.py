@@ -205,6 +205,16 @@ class _BuiltModel:
     dataset: np.ndarray | None  # raw observations, when the model has one column
 
 
+def _toy_data(cfg: RunConfig) -> tuple[np.ndarray, str]:
+    """The toy's observations, from ``--data`` or drawn, and where they came from."""
+    if cfg.data:
+        return reportio.read_values_csv(cfg.data), cfg.data
+    from .models import simulate_toy_data
+
+    n = 10 if cfg.synthetic is None else cfg.synthetic
+    return simulate_toy_data(n, seed=cfg.seed), f"synthetic gamma draws (n={n})"
+
+
 def _build_model(cfg: RunConfig) -> _BuiltModel:
     # compute and report never import the models; only two of them load scipy.
     from . import datasets, models
@@ -215,13 +225,7 @@ def _build_model(cfg: RunConfig) -> _BuiltModel:
         meta = {"data": "embedded presidents table", "n": int(days.size)}
         return _BuiltModel(model, None, meta, days)
     if cfg.model == "toy-gamma":
-        if cfg.data:
-            data = reportio.read_values_csv(cfg.data)
-            source = cfg.data
-        else:
-            n = 10 if cfg.synthetic is None else cfg.synthetic
-            data = models.simulate_toy_data(n, seed=cfg.seed)
-            source = f"synthetic gamma draws (n={n})"
+        data, source = _toy_data(cfg)
         model = models.gamma_toy_model(data)
         return _BuiltModel(model, None, {"data": source, "n": int(data.size)}, data)
     variant = _VOTING_VARIANTS[cfg.model]
@@ -344,14 +348,15 @@ def _dump_data(cfg: RunConfig) -> int:
             f"--dump-data is not supported for {cfg.model}; "
             "voting data comes from --data or --synthetic"
         )
-    built = _build_model(cfg)
+    # The data alone: building either model would import scipy.
     meta = reportio.meta_line(cfg.seed)
     if cfg.model == "presidents-nb2":
-        lines = [meta, "id,days"] + [
-            f"{i},{int(d)}" for i, d in zip(built.model.datapoint_ids, built.dataset)
-        ]
+        from . import datasets
+
+        rows = zip(datasets.presidents_ids(), datasets.presidents_days())
+        lines = [meta, "id,days"] + [f"{i},{int(d)}" for i, d in rows]
     else:
-        lines = [meta, "x"] + [repr(float(x)) for x in built.dataset]
+        lines = [meta, "x"] + [repr(float(x)) for x in _toy_data(cfg)[0]]
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     target = outdir / "data.csv"
@@ -361,12 +366,10 @@ def _dump_data(cfg: RunConfig) -> int:
 
 
 def _cmd_report(cfg: RunConfig) -> int:
-    records = reportio.read_summary_csv(cfg.input)
-    records.sort(key=lambda r: r["rank_wapdi"])
-    top = records[: cfg.top_k]
+    # The summary's own lines, validated, worst WAPDI rank first; ties keep file order.
+    rows = sorted(reportio._summary_rows(cfg.input), key=lambda row: row[0]["rank_wapdi"])
     source_meta = reportio.read_meta_line(cfg.input) or reportio.meta_line("unknown")
-    lines = [",".join(reportio.SUMMARY_COLUMNS)]
-    lines += [reportio.format_summary_row(r) for r in top]
+    lines = [",".join(reportio.SUMMARY_COLUMNS)] + [line for _, line in rows[: cfg.top_k]]
     text = "\n".join(lines)
     if cfg.out:  # before printing, so that a failed command prints nothing
         outdir = Path(cfg.out)

@@ -90,10 +90,12 @@ def _nb2_terms(gammaln, x, gammaln_x1, mu, phi):
 def moment_match_mu_prior(data) -> tuple[float, float]:
     """Gamma (shape, rate) whose mean/variance equal the data's sample moments."""
     data = np.asarray(data, dtype=np.float64)
+    if data.size < 2:  # before var(ddof=1), which warns and returns NaN
+        raise ValueError("need at least 2 counts to moment-match a gamma prior")
     m = data.mean()
     v = data.var(ddof=1)
-    if v <= 0:
-        raise ValueError("data variance must be > 0 to moment-match a gamma prior")
+    if not 0 < v < np.inf:  # NaN fails too
+        raise ValueError("data variance must be > 0 and finite to moment-match a gamma prior")
     return float(m * m / v), float(m / v)
 
 
@@ -155,6 +157,8 @@ def nb2_mixture_model(data, ids=None) -> ModelSpec:
     from scipy.special import gammaln
 
     data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 1:
+        raise ValueError("counts must be 1-D")
     if not np.all(np.isfinite(data) & (data >= 0) & (data == np.floor(data))):
         raise ValueError("counts must be non-negative integers")
     mu_shape, mu_rate = moment_match_mu_prior(data)

@@ -31,7 +31,6 @@ __all__ = [
     "meta_line",
     "read_meta_line",
     "read_loglik_csv",
-    "format_summary_row",
     "write_summary_csv",
     "read_summary_csv",
     "write_summary_ndjson",
@@ -61,10 +60,6 @@ _NDJSON_RECORD = "{" + ", ".join(f'"{c}": %s' for c in sorted(SUMMARY_COLUMNS)) 
 
 class InputFormatError(ValueError):
     """Malformed input file; maps to exit code 3 in the CLI."""
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _parse_float(path: Path, cell: str, line_no: int, col_no: int) -> float:
@@ -375,18 +370,6 @@ def read_meta_line(path) -> str | None:
     return first.rstrip("\n") if first.startswith("# pdikit") else None
 
 
-def format_summary_row(record: dict) -> str:
-    """One summary CSV line from a record keyed by ``SUMMARY_COLUMNS``."""
-    return ",".join(
-        [
-            record["id"],
-            *[_fmt(record[c]) for c in _FLOAT_COLUMNS],
-            *[str(record[c]) for c in _RANK_COLUMNS],
-            ";".join(record["flags"]),
-        ]
-    )
-
-
 def _number_texts(report: MismatchReport) -> dict[str, list[str]]:
     """The float and rank columns' text per datapoint, in rank order.
 
@@ -400,7 +383,11 @@ def _number_texts(report: MismatchReport) -> dict[str, list[str]]:
 
 
 def write_summary_csv(path, report: MismatchReport, seed: int) -> None:
-    """The summary table: what ``format_summary_row`` writes for each datapoint."""
+    """The summary table, the only writer of its row format.
+
+    ``meta_line(seed)``, the ``SUMMARY_COLUMNS`` header, then per datapoint in rank
+    order: its id, the floats in repr form, the two integer ranks, ``;``-joined flags.
+    """
     texts = _number_texts(report)
     texts["id"] = report.ids
     texts["flags"] = [";".join(flags) for flags in report.flags]
@@ -409,8 +396,8 @@ def write_summary_csv(path, report: MismatchReport, seed: int) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_summary_csv(path) -> list[dict]:
-    """Read back a summary table as a list of per-row dicts."""
+def _summary_rows(path) -> list[tuple[dict, str]]:
+    """Each data row of a summary table, validated, as (record, its line in the file)."""
     path = Path(path)
     rows = list(_data_lines(path))
     if not rows:
@@ -435,8 +422,13 @@ def read_summary_csv(path) -> list[dict]:
                     raise InputFormatError(
                         f"{path}: non-integer rank {cell!r} at line {line_no}, column {col_no}"
                     ) from None
-        out.append(rec)
+        out.append((rec, line))
     return out
+
+
+def read_summary_csv(path) -> list[dict]:
+    """Read back a summary table as a list of per-row dicts."""
+    return [rec for rec, _ in _summary_rows(path)]
 
 
 def _finite_or_null(obj):

@@ -628,6 +628,39 @@ class TestReportCommand:
         ranks = [int(line.split(",")[8]) for line in lines[1:]]
         assert ranks == [1, 2, 3, 4, 5]
 
+    def test_prints_the_summarys_own_lines(self, tmp_path, capsys):
+        # A compute summary with every flag and NaN WAPDIs (all 5 rows), and
+        # a fit summary cut to 7 of its 43 rows: report prints the header and
+        # the first K rows byte for byte, and report.csv adds the summary's
+        # own "# pdikit" line.
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(
+            "a,b,inf,const,zero\n"
+            "-1.5,-0.25,-inf,-2.0,0.0\n"
+            "-1.25,-0.5,-1.0,-2.0,0.0\n"
+            "-1.0,-0.75,-2.0,-2.0,0.0\n"
+        )
+        runs = {
+            "compute": (["compute", "--input", str(matrix), "--allow-degenerate"], 5),
+            "fit": (["fit", "--model", "presidents-nb2", "--warmup", "150", "--draws", "60"], 7),
+        }
+        printed = {}
+        for name, (argv, k) in runs.items():
+            summary = tmp_path / name / "summary.csv"
+            assert main(argv + ["--out", str(summary.parent)]) == 0
+            meta, *table = summary.read_bytes().splitlines(keepends=True)
+            capsys.readouterr()
+            out = tmp_path / name / "report"
+            argv = ["report", "--input", str(summary), "--top-k", str(k), "--out", str(out)]
+            assert main(argv) == 0
+            printed[name] = capsys.readouterr().out.encode()
+            assert printed[name] == b"".join(table[: k + 1])
+            assert (out / "report.csv").read_bytes() == meta + printed[name]
+        for text in (b",zero_variance\n", b",nonfinite_loglik\n", b";near_singular_log_mu\n"):
+            assert text in printed["compute"]
+        assert b",nan," in printed["compute"]
+        assert printed["fit"].count(b"\n") == 8
+
     def test_unwritable_out_prints_nothing(self, matrix_file, tmp_path, capsys):
         main(["compute", "--input", str(matrix_file), "--out", str(tmp_path / "res")])
         capsys.readouterr()
@@ -792,11 +825,26 @@ class TestCheckLemmaCommand:
         assert parse_args(argv).formats == ("csv",)
 
 
+def _numpy_target() -> str:
+    """The CPU target of the kernels numpy runs for float64 ``exp`` in this process."""
+    info = np.lib.introspect.opt_func_info(func_name="^exp$", signature="float64")
+    (kernel,) = info["exp"].values()
+    return kernel["current"]
+
+
 class TestGoldenDigests:
     """SHA-256 of outputs written by an earlier version (numpy 2.4, scipy 1.17, x86-64).
 
     ``TestDeterminism`` compares two runs of one version; these pin the bytes
     across versions, so a change that moves any draw of the chain fails here.
+
+    numpy's AVX-512 (``X86_V4``) and AVX2 (``X86_V3``) kernels can differ in
+    the last bit of ``exp`` and ``log``, which moves a Metropolis chain, so
+    the sampled outputs have one expected set per dispatch target and the test
+    takes the set of the target numpy reports as current. The ``X86_V3`` set
+    was added beside the ``X86_V4`` one, recorded with
+    ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``; no value was
+    loosened, and on any other target the test fails.
     """
 
     @pytest.mark.parametrize(
@@ -806,48 +854,82 @@ class TestGoldenDigests:
                 ["fit", "--model", "presidents-nb2", "--warmup", "150", "--draws", "60",
                  "--seed", "42", "--formats", "csv,ndjson,svg"],
                 {
-                    "summary.csv":
-                        "9cc826dc50f3ea72d86e360fb3d387b7532c90020278571136030a6907ff73c7",
-                    "summary.ndjson":
-                        "c683318c144154ba38fda8cfbce372aadeaa82402bd6a9cc36a62b7c7eb2c28e",
-                    "wapdi.svg":
-                        "33f876943a03185839552650832a4081f0f4062508c87b388f3a8b4d230c74a9",
+                    "X86_V4": {
+                        "summary.csv":
+                            "9cc826dc50f3ea72d86e360fb3d387b7532c90020278571136030a6907ff73c7",
+                        "summary.ndjson":
+                            "c683318c144154ba38fda8cfbce372aadeaa82402bd6a9cc36a62b7c7eb2c28e",
+                        "wapdi.svg":
+                            "33f876943a03185839552650832a4081f0f4062508c87b388f3a8b4d230c74a9",
+                    },
+                    "X86_V3": {
+                        "summary.csv":
+                            "1ff0271274766e6f9c26ba1c85398a9ef323636123601b09dc45d7cc024982c2",
+                        "summary.ndjson":
+                            "44b0af1a99f1d743f5519bf1a247d61596f836ca096d03309cae83236d80b7ac",
+                        "wapdi.svg":
+                            "33f876943a03185839552650832a4081f0f4062508c87b388f3a8b4d230c74a9",
+                    },
                 },
             ),
             (
                 ["check-lemma", "--model", "voting-base", "--synthetic", "300", "--warmup",
                  "100", "--draws", "50"],
                 {
-                    "lemma.csv":
-                        "09239dab65fe3a6affaf45e1bae25e9abc30e3114b2ef6807615490b32b89c90",
+                    "X86_V4": {
+                        "lemma.csv":
+                            "09239dab65fe3a6affaf45e1bae25e9abc30e3114b2ef6807615490b32b89c90",
+                    },
+                    "X86_V3": {
+                        "lemma.csv":
+                            "be12b8407486b753dc075f1456f176a1c8fa1b0bc8cbf163a731b6d050fab47b",
+                    },
                 },
             ),
             (
                 ["fit", "--model", "toy-gamma", "--synthetic", "25", "--draws", "500",
                  "--seed", "7", "--formats", "csv,ndjson,svg"],
                 {
-                    "summary.csv":
-                        "44f636c3725a03234ccac6f4a62501c97630d9536fe4340075f68f3bb81eb1b0",
-                    "summary.ndjson":
-                        "e30a0653c033ced4654e9172f381304ee69d5a8eaaa0461a75a3213524c575e1",
-                    "wapdi.svg":
-                        "96deaaa125d330218b863be0bbb21ab1f62ca276ec394f521419e5380843c738",
+                    "X86_V4": {
+                        "summary.csv":
+                            "44f636c3725a03234ccac6f4a62501c97630d9536fe4340075f68f3bb81eb1b0",
+                        "summary.ndjson":
+                            "e30a0653c033ced4654e9172f381304ee69d5a8eaaa0461a75a3213524c575e1",
+                        "wapdi.svg":
+                            "96deaaa125d330218b863be0bbb21ab1f62ca276ec394f521419e5380843c738",
+                    },
+                    "X86_V3": {
+                        "summary.csv":
+                            "b6eb1649556c2189869836699496cbe7b15be6f499cd99b1d23ad838a37087dc",
+                        "summary.ndjson":
+                            "4577a3f2cbf609a1939e09a064bfbb9b234eb88919d3f7fff7fbae1158a9fc80",
+                        "wapdi.svg":
+                            "96deaaa125d330218b863be0bbb21ab1f62ca276ec394f521419e5380843c738",
+                    },
                 },
             ),
             (
                 ["check-lemma", "--model", "toy-gamma", "--synthetic", "25", "--draws", "500",
                  "--seed", "7"],
                 {
-                    "lemma.csv":
-                        "aa18558700be5e2104bf38e0c0085f984dfc9a99ce1756df939b85fa16448132",
+                    "X86_V4": {
+                        "lemma.csv":
+                            "aa18558700be5e2104bf38e0c0085f984dfc9a99ce1756df939b85fa16448132",
+                    },
+                    "X86_V3": {
+                        "lemma.csv":
+                            "52669801af74408b17c5141c1c2c1958b52ea9fd9f5cec6b66796ed01edd09d0",
+                    },
                 },
             ),
         ],
         ids=["fit-presidents", "check-lemma-voting", "fit-toy", "check-lemma-toy"],
     )
     def test_output_digest(self, tmp_path, argv, digests):
+        target = _numpy_target()
+        assert target in digests, f"no digests recorded for numpy's {target} kernels"
         assert main(argv + ["--out", str(tmp_path)]) == 0
-        for name, digest in digests.items():
+        for name, digest in digests[target].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_degenerate_compute_digest(self, tmp_path, monkeypatch):

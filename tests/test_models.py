@@ -110,6 +110,13 @@ class TestMomentMatch:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             models.moment_match_mu_prior(np.full(5, 3.0))
+        # One count or none has no sample variance: refused before numpy
+        # warns, and before a model is built with NaN prior means.
+        for counts in ([3.0], []):
+            with pytest.raises(ValueError, match="need at least 2 counts"):
+                models.moment_match_mu_prior(np.array(counts))
+            with pytest.raises(ValueError, match="need at least 2 counts"):
+                models.nb2_mixture_model(np.array(counts))
 
 
 class TestDatasets:
@@ -265,6 +272,12 @@ class TestNB2MixtureModel:
             models.nb2_mixture_model(counts)
         with pytest.raises(ValueError, match="counts must be non-negative integers"):
             models.nb2_mixture_model(counts, ids=["a", "b", "c", "d"])
+
+    def test_rejects_counts_not_1d(self):
+        # Checked first: these would fail the count check or build no ids.
+        for counts in ([[1.0, 2.0], [3.0, 5.0]], [[np.nan, 2.0]], 3.0):
+            with pytest.raises(ValueError, match="counts must be 1-D"):
+                models.nb2_mixture_model(np.array(counts))
 
     def test_rejects_ids_of_another_length(self):
         with pytest.raises(ValueError, match="2 datapoint ids for 43 counts"):

@@ -94,6 +94,22 @@ assert not {{"pdikit.models", "pdikit.datasets"}} & set(sys.modules)
     assert (out / "report.csv").is_file()
 
 
+def test_dump_data_runs_without_scipy(tmp_path):
+    # --dump-data writes the dataset alone; building either model would load scipy.
+    out = str(tmp_path)
+    code = f"""
+import sys
+from pdikit.cli import main
+for model in ("presidents-nb2", "toy-gamma"):
+    assert main(["fit", "--model", model, "--dump-data", "--out", {out!r} + "/" + model]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    run_fresh(code)
+    for model in ("presidents-nb2", "toy-gamma"):
+        assert (tmp_path / model / "data.csv").is_file()
+
+
 def test_voting_models_run_without_scipy(tmp_path):
     # The hierarchical logistic models need numpy alone; only the NB2 mixture
     # and the gamma toy load scipy, when they are built.
