@@ -197,14 +197,6 @@ def parse_args(argv) -> RunConfig:
     return cfg
 
 
-@dataclass(frozen=True)
-class _BuiltModel:
-    model: object
-    labels: dict[str, str] | None
-    meta: dict
-    dataset: np.ndarray | None  # raw observations, when the model has one column
-
-
 def _toy_data(cfg: RunConfig) -> tuple[np.ndarray, str]:
     """The toy's observations, from ``--data`` or drawn, and where they came from."""
     if cfg.data:
@@ -215,78 +207,68 @@ def _toy_data(cfg: RunConfig) -> tuple[np.ndarray, str]:
     return simulate_toy_data(n, seed=cfg.seed), f"synthetic gamma draws (n={n})"
 
 
-def _build_model(cfg: RunConfig) -> _BuiltModel:
+def _fit_matrix(cfg: RunConfig):
+    """Build, sample and score a built-in model: (model, draws, matrix, labels, meta).
+
+    The conjugate toy is sampled exactly, every other model by Metropolis;
+    presidents' mixture components are then relabelled. ``labels`` maps each
+    datapoint to its ``--group-by`` value, or is None. Prints the sampler's
+    warnings; ``meta`` holds the ``run.json`` fields that ``fit`` and
+    ``check-lemma`` share.
+    """
     # compute and report never import the models; only two of them load scipy.
     from . import datasets, models
 
-    if cfg.model == "presidents-nb2":
-        days = datasets.presidents_days()
-        model = models.nb2_mixture_model(days, datasets.presidents_ids())
-        meta = {"data": "embedded presidents table", "n": int(days.size)}
-        return _BuiltModel(model, None, meta, days)
+    labels = None
     if cfg.model == "toy-gamma":
         data, source = _toy_data(cfg)
         model = models.gamma_toy_model(data)
-        return _BuiltModel(model, None, {"data": source, "n": int(data.size)}, data)
-    variant = _VOTING_VARIANTS[cfg.model]
-    if cfg.data:
-        table = reportio.read_votes_csv(cfg.data)
-        column = cfg.model.removeprefix("voting-")
-        if variant != "base" and table.extra_name != column:
-            raise reportio.InputFormatError(
-                f"{cfg.data}: model {cfg.model} needs the age/edu column {column!r}, "
-                f"found {table.extra_name or 'neither'}"
-            )
-        source = cfg.data
-    else:
-        n = 2000 if cfg.synthetic is None else cfg.synthetic
-        table, _ = models.simulate_votes(n, seed=cfg.seed, variant=variant)
-        source = f"synthetic survey (n={n})"
-    model = models.hier_logreg_model(table, variant)
-    labels = None
-    if cfg.group_by:
-        codes, column = (
-            (table.state_codes, table.state)
-            if cfg.group_by == "state"
-            else (table.extra_codes, table.extra)
-        )
-        labels = dict(zip(model.datapoint_ids, (codes[i] for i in column)))
-    meta = {"data": source, "n": table.n, "variant": variant}
-    return _BuiltModel(model, labels, meta, None)
-
-
-def _fit_matrix(cfg: RunConfig):
-    """Build, sample and score a built-in model: (built, draws, matrix, meta).
-
-    The conjugate toy is sampled exactly, every other model by Metropolis.
-    Prints the sampler's warnings; ``meta`` holds the ``run.json`` fields
-    that ``fit`` and ``check-lemma`` share.
-    """
-    from . import models
-
-    built = _build_model(cfg)
-    if cfg.model == "toy-gamma":
-        sampler_name = "conjugate-exact"
-        draws = models.toy_posterior_draws(built.dataset, cfg.draws, cfg.seed)
-    else:
-        sampler_name = "adaptive-rw-metropolis"
-        draws = adaptive_rw_metropolis(built.model, cfg.sampler_config())
-    if cfg.model == "presidents-nb2":
+        meta = {"data": source, "n": int(data.size)}
+        draws = models.toy_posterior_draws(data, cfg.draws, cfg.seed)
+    elif cfg.model == "presidents-nb2":
+        days = datasets.presidents_days()
+        model = models.nb2_mixture_model(days, datasets.presidents_ids())
+        meta = {"data": "embedded presidents table", "n": int(days.size)}
+        draws = adaptive_rw_metropolis(model, cfg.sampler_config())
         relabeled = models.relabel_by_dispersion(draws.draws)
         draws = posterior_draws_from(
             relabeled, draws.acceptance_rate, draws.seed, draws.warnings
         )
-    matrix = loglik_matrix(built.model, draws)
+    else:
+        variant = _VOTING_VARIANTS[cfg.model]
+        if cfg.data:
+            table = reportio.read_votes_csv(cfg.data)
+            column = cfg.model.removeprefix("voting-")
+            if variant != "base" and table.extra_name != column:
+                raise reportio.InputFormatError(
+                    f"{cfg.data}: model {cfg.model} needs the age/edu column {column!r}, "
+                    f"found {table.extra_name or 'neither'}"
+                )
+            source = cfg.data
+        else:
+            n = 2000 if cfg.synthetic is None else cfg.synthetic
+            table, _ = models.simulate_votes(n, seed=cfg.seed, variant=variant)
+            source = f"synthetic survey (n={n})"
+        model = models.hier_logreg_model(table, variant)
+        if cfg.group_by:
+            codes, column = (
+                (table.state_codes, table.state)
+                if cfg.group_by == "state"
+                else (table.extra_codes, table.extra)
+            )
+            labels = dict(zip(model.datapoint_ids, (codes[i] for i in column)))
+        meta = {"data": source, "n": table.n, "variant": variant}
+        draws = adaptive_rw_metropolis(model, cfg.sampler_config())
+    matrix = loglik_matrix(model, draws)
     for w in draws.warnings:
         print(f"pdikit: warning: {w}", file=sys.stderr)
-    meta = {
-        **built.meta,
-        "model": cfg.model,
-        "sampler": sampler_name,
-        "acceptance_rate": draws.acceptance_rate,
-        "sampler_warnings": list(draws.warnings),
-    }
-    return built, draws, matrix, meta
+    meta.update(
+        model=cfg.model,
+        sampler="conjugate-exact" if cfg.model == "toy-gamma" else "adaptive-rw-metropolis",
+        acceptance_rate=draws.acceptance_rate,
+        sampler_warnings=list(draws.warnings),
+    )
+    return model, draws, matrix, labels, meta
 
 
 def _run_payload(cfg: RunConfig) -> dict:
@@ -336,8 +318,8 @@ def _cmd_compute(cfg: RunConfig) -> int:
 def _cmd_fit(cfg: RunConfig) -> int:
     if cfg.dump_data:
         return _dump_data(cfg)
-    built, _, matrix, meta = _fit_matrix(cfg)
-    report = rank_report(summarize(matrix), matrix.datapoint_ids, built.labels)
+    _, _, matrix, labels, meta = _fit_matrix(cfg)
+    report = rank_report(summarize(matrix), matrix.datapoint_ids, labels)
     _write_outputs(Path(cfg.out), report, cfg, meta)
     return 0
 
@@ -382,8 +364,8 @@ def _cmd_report(cfg: RunConfig) -> int:
 
 
 def _cmd_check_lemma(cfg: RunConfig) -> int:
-    built, draws, matrix, meta = _fit_matrix(cfg)
-    taylor_report = compare_exact_vs_taylor(built.model, draws, matrix)
+    model, draws, matrix, _, meta = _fit_matrix(cfg)
+    taylor_report = compare_exact_vs_taylor(model, draws, matrix)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = taylor_report.rows

@@ -36,7 +36,6 @@ __all__ = [
     "ReportRow",
     "MismatchReport",
     "GroupStats",
-    "log_posterior_predictive_mcse",
     "summarize",
     "rank_report",
     "group_aggregate",
@@ -202,13 +201,13 @@ class MismatchReport:
     """Ranked per-datapoint columns, worst WAPDI first, plus the WAIC scalar.
 
     Entry k of every column belongs to the datapoint of WAPDI rank k + 1:
-    ``ids``, the read-only arrays in ``columns`` (``summarize``'s keys: one
-    float array per ``PointwiseSummary`` field and one boolean mask per
-    flag), ``rank_wapdi`` (1..N) and ``rank_log_mu``. ``rows`` holds the
-    same data as one ``ReportRow`` per datapoint, built on first access.
-    ``waic`` averages the finite WAIC terms; ``n_excluded`` counts the
-    datapoints whose term is not finite and so left out. Reports compare
-    by identity.
+    ``ids``, the read-only arrays in ``columns`` (``summarize``'s keys but
+    ``log_mu_mcse``: one float array per ``PointwiseSummary`` field and one
+    boolean mask per flag), ``rank_wapdi`` (1..N) and ``rank_log_mu``.
+    ``rows`` holds the same data as one ``ReportRow`` per datapoint, built on
+    first access. ``waic`` averages the finite WAIC terms; ``n_excluded``
+    counts the datapoints whose term is not finite and so left out. Reports
+    compare by identity.
     """
 
     ids: tuple[str, ...]
@@ -281,7 +280,8 @@ def _var_rows(rows: np.ndarray, row_mean: np.ndarray) -> np.ndarray:
 def _dispersion_rows(block: np.ndarray) -> dict[str, np.ndarray]:
     """Every per-column quantity of an S x n block, as n-arrays.
 
-    Keys are the ``PointwiseSummary`` fields plus one boolean mask per flag.
+    Keys are the ``PointwiseSummary`` fields, ``log_mu_mcse`` and one
+    boolean mask per flag.
     """
     # np.array always copies (a one-column block would otherwise come back
     # as a view, and the in-place sort would reorder the caller's data).
@@ -315,6 +315,7 @@ def _dispersion_rows(block: np.ndarray) -> dict[str, np.ndarray]:
             "wapdi": wapdi_val,
             "pdi_ratio_log": log_sigma2 - log_mu,
             "waic_term": -log_mu + sigma2_log,
+            "log_mu_mcse": np.sqrt(var_lik) / (mean_lik * np.sqrt(rows.shape[1])),
             FLAG_NONFINITE: nonfinite,
             FLAG_ZERO_VARIANCE: zero_variance,
             FLAG_NEAR_SINGULAR: small & ~nonfinite,
@@ -324,34 +325,19 @@ def _dispersion_rows(block: np.ndarray) -> dict[str, np.ndarray]:
 _FIELDS = tuple(f.name for f in fields(PointwiseSummary) if f.name != "flags")
 
 
-def log_posterior_predictive_mcse(column) -> float:
-    """Standard error of a column's ``log_mu`` under i.i.d. draws.
-
-    Delta method on the shifted linear-domain mean: se(log mu) ~= sd(w) /
-    (mean(w) * sqrt(S)) with w = exp(column - max). Only meaningful when the
-    draws are independent (exact samplers); MCMC draws need batching instead.
-    """
-    col = np.asarray(column, dtype=np.float64)
-    if col.ndim != 1:
-        raise ValueError("expected a 1-D column of log-likelihood values")
-    if col.size < 2:
-        raise ValueError(f"need at least 2 draws, got {col.size}")
-    if not np.isfinite(col).all():
-        raise ValueError("non-finite log-likelihood in column")
-    col = np.sort(col)
-    w = np.exp(col - col[-1])
-    return float(np.std(w, ddof=1) / (np.mean(w) * np.sqrt(col.size)))
-
-
 def summarize(matrix: LogLikMatrix) -> dict[str, np.ndarray]:
     """Every per-datapoint quantity of the matrix, as length-N arrays.
 
-    Keys are the ``PointwiseSummary`` fields plus one boolean mask per flag,
-    each array in datapoint order. Columns are independent; degeneracies are
-    recorded in the masks and never abort the rest of the matrix. Each stored
-    column is summarized once, in blocks of about ``BLOCK_CELLS`` cells;
-    datapoints that share it share its entries. A single column is scored as
-    a one-column matrix: ``summarize(LogLikMatrix(col[:, None]))["wapdi"][0]``.
+    Keys are the ``PointwiseSummary`` fields, ``log_mu_mcse`` and one
+    boolean mask per flag, each array in datapoint order. ``log_mu_mcse`` is
+    the delta-method standard error of ``log_mu`` for i.i.d. draws, sd(w) /
+    (mean(w) sqrt(S)) with w = exp(column - max); MCMC draws need their
+    effective sample size instead of S. Columns are independent;
+    degeneracies are recorded in the masks and never abort the rest of the
+    matrix. Each stored column is summarized once, in blocks of about
+    ``BLOCK_CELLS`` cells; datapoints that share it share its entries. A
+    single column is scored as a one-column matrix:
+    ``summarize(LogLikMatrix(col[:, None]))["wapdi"][0]``.
     """
     columns = matrix._columns
     step = max(1, BLOCK_CELLS // matrix.draw_count)

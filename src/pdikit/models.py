@@ -92,11 +92,15 @@ def moment_match_mu_prior(data) -> tuple[float, float]:
     data = np.asarray(data, dtype=np.float64)
     if data.size < 2:  # before var(ddof=1), which warns and returns NaN
         raise ValueError("need at least 2 counts to moment-match a gamma prior")
-    m = data.mean()
-    v = data.var(ddof=1)
-    if not 0 < v < np.inf:  # NaN fails too
-        raise ValueError("data variance must be > 0 and finite to moment-match a gamma prior")
-    return float(m * m / v), float(m / v)
+    try:  # huge counts overflow the mean's sum, the variance's squares or m * m
+        with np.errstate(over="raise"):
+            m, v = data.mean(), data.var(ddof=1)
+            shape, rate = (m * m / v, m / v) if 0 < v < np.inf else (np.nan, np.nan)
+    except FloatingPointError:
+        shape = rate = np.nan
+    if not (np.isfinite(shape) and np.isfinite(rate)):  # a NaN variance fails too
+        raise ValueError("moments must be finite and variance > 0 to moment-match a gamma prior")
+    return float(shape), float(rate)
 
 
 def _gamma_logpdf(x, shape, rate, gammaln_shape):

@@ -157,6 +157,10 @@ class TestParseArgs:
                 ["fit", "--model", "toy-gamma", "--group-by", "state"],
                 "--group-by applies to voting models only",
             ),
+            (
+                ["fit", "--model", "voting-base", "--target-accept", "1.5"],
+                "adaptation_target_acceptance must be in (0, 1)",
+            ),
         ],
     )
     def test_bad_sampler_flag_exits_2_for_every_model(self, tmp_path, capsys, argv, message):
@@ -555,7 +559,7 @@ class TestFitCommand:
 def test_degenerate_fit_suggests_no_option(command, tmp_path, capsys, monkeypatch):
     # fit and check-lemma have no --allow-degenerate, so the refusal names
     # none. No built-in model gives -inf; this one's row does at datapoint 2.
-    from pdikit import cli, models
+    from pdikit import models
 
     table, _ = models.simulate_votes(30, seed=1)
     base = models.hier_logreg_model(table)
@@ -565,7 +569,7 @@ def test_degenerate_fit_suggests_no_option(command, tmp_path, capsys, monkeypatc
             np.arange(base.data_count) == 2, -np.inf, base.pointwise_row(th)
         ),
     )
-    monkeypatch.setattr(cli, "_build_model", lambda cfg: cli._BuiltModel(model, None, {}, None))
+    monkeypatch.setattr(models, "hier_logreg_model", lambda table, variant: model)
     argv = [command, "--model", "voting-base", "--warmup", "20", "--draws", "10"]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 4
     assert capsys.readouterr().err == (

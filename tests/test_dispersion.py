@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pdikit as pk
 from pdikit import dispersion
@@ -153,12 +154,14 @@ class TestColumnEstimators:
         assert scalar == terms[1]
 
     def test_rejects_empty_and_nan(self):
-        with pytest.raises(ValueError):
-            pk.log_posterior_predictive_mcse([])
-        with pytest.raises(ValueError):
-            pk.log_posterior_predictive_mcse([0.0, float("nan")])
-        with pytest.raises(ValueError):
-            pk.log_posterior_predictive_mcse([-1.0])
+        # A single column is checked as the S x 1 matrix it is scored as.
+        for col, message in (
+            ([], "need at least 2 posterior draws, got 0"),
+            ([0.0, float("nan")], "NaN log-likelihood at draw 1, datapoint 0"),
+            ([-1.0], "need at least 2 posterior draws, got 1"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                pk.LogLikMatrix(np.array(col)[:, None])
 
 
 class TestJensen:
@@ -370,8 +373,6 @@ class TestMatrixAndSummaries:
     def test_caller_array_unchanged(self):
         col = np.array([-1.0, -3.0, -2.0, -0.5])
         before = col.copy()
-        pk.log_posterior_predictive_mcse(col)
-        assert np.array_equal(col, before)
         m = pk.LogLikMatrix(col[:, None])
         assert_same_bits(pk.summarize(m), pk.summarize(pk.LogLikMatrix(before[:, None])))
         assert np.array_equal(m.values[:, 0], before)
@@ -403,6 +404,74 @@ class TestMatrixAndSummaries:
         one, _ = waic(pk.LogLikMatrix(col))
         two, _ = waic(pk.LogLikMatrix(np.hstack([col, col])))
         assert one == pytest.approx(two, rel=1e-14)
+
+
+def mcse_oracle(col):
+    """``log_mu``'s i.i.d. standard error of one column on its own, with numpy's
+    ``std`` and ``mean``: sd(w) / (mean(w) sqrt(S)) with w = exp(col - max)."""
+    col = np.sort(np.asarray(col, dtype=np.float64))
+    w = np.exp(col - col[-1])
+    return float(np.std(w, ddof=1) / (np.mean(w) * np.sqrt(col.size)))
+
+
+def mcse_bits(matrix):
+    return pk.summarize(matrix)["log_mu_mcse"].view(np.uint64)
+
+
+def assert_mcse_is_oracle(matrix):
+    want = np.array([mcse_oracle(col) for col in matrix.values.T])
+    assert np.array_equal(mcse_bits(matrix), want.view(np.uint64))
+
+
+class TestLogMuMcse:
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(2, 64), st.integers(1, 6)),
+            elements=st.floats(min_value=-800.0, max_value=5.0, allow_nan=False),
+        )
+    )
+    @settings(max_examples=150)
+    def test_hypothesis_matrices_match_the_oracle(self, values):
+        assert_mcse_is_oracle(pk.LogLikMatrix(values))
+
+    def test_blocks_columns_and_permutations_match_the_oracle(self):
+        rng = np.random.default_rng(11)
+        S = 3000
+        step = dispersion.BLOCK_CELLS // S
+        vals = rng.normal(-3.0, 2.0, size=(S, 2 * step + 3))  # three kernel blocks
+        m = pk.LogLikMatrix(vals)
+        assert_mcse_is_oracle(m)
+        for j in (0, step, 2 * step + 2):
+            assert_mcse_is_oracle(pk.LogLikMatrix(vals[:, j : j + 1]))
+        permuted = pk.LogLikMatrix(vals[rng.permutation(S)])
+        assert np.array_equal(mcse_bits(permuted), mcse_bits(m))
+
+    def test_cell_matrix_matches_the_oracle(self):
+        from pdikit import models
+
+        table, _ = models.simulate_votes(200, seed=2)
+        model = models.hier_logreg_model(table)
+        config = pk.SamplerConfig(warmup_steps=50, kept_draws=200, seed=3)
+        m = pk.loglik_matrix(model, pk.adaptive_rw_metropolis(model, config))
+        assert m._column_of is not None  # datapoints share stored columns
+        assert_mcse_is_oracle(m)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: pk.LogLikMatrix(np.zeros(3)),
+            "log-likelihood matrix must be 2-D (draws x datapoints)",
+        ),
+        (lambda: pk.LogLikMatrix(np.zeros((2, 3)), ["a", "b"]), "2 datapoint ids for 3 columns"),
+        (lambda: pk.rank_report(summaries_of([-1.0, -2.0]), ["a"]), "2 summaries for 1 ids"),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestRanking:

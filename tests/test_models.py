@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,48 @@ class TestMomentMatch:
                 models.moment_match_mu_prior(np.array(counts))
             with pytest.raises(ValueError, match="need at least 2 counts"):
                 models.nb2_mixture_model(np.array(counts))
+
+    @pytest.mark.parametrize(
+        "counts", [[0.0, 1e300, 2e300], [1e308, 1.7e308, 3.0], [1e160, 1e160 * (1 + 1e-10)]]
+    )
+    def test_overflowing_moments_rejected(self, counts):
+        # Each overflows one step: the variance's square, the mean's sum, m * m.
+        # pytest raises numpy's overflow warning, so a warning fails this test.
+        for build in (models.moment_match_mu_prior, models.nb2_mixture_model):
+            with pytest.raises(ValueError, match="^moments must be finite and variance > 0"):
+                build(np.array(counts))
+
+
+def _vote_table(**changes):
+    columns = dict(
+        vote=np.array([0, 1, 1]),
+        female=np.array([1, 0, 1]),
+        black=np.array([0, 0, 1]),
+        state=np.array([0, 1, 0]),
+        state_codes=("AK", "AL"),
+    )
+    return models.VoteTable(**{**columns, **changes})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: models.relabel_by_dispersion(np.zeros((4, 8))), "expected draws with 9 columns"),
+        (lambda: _vote_table(female=np.array([1, 0])), "column female has wrong length"),
+        (lambda: _vote_table(state=np.array([0, 2, 1])), "column state has a code out of range"),
+        (
+            lambda: models.hier_logreg_model(_vote_table(), "with_state"),
+            f"variant must be one of {models.HIER_VARIANTS}",
+        ),
+        (
+            lambda: models.simulate_votes(10, seed=0, variant="with_state"),
+            f"variant must be one of {models.HIER_VARIANTS}",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestDatasets:
@@ -312,8 +355,8 @@ class TestGammaToy:
         beta = draws.draws[:, 0]
         for x in (0.5, 5.0, 15.0):
             col = gamma_logpdf(x, 5.0, beta)
-            mc = summarize_one(col)["log_mu"]
-            se = pk.log_posterior_predictive_mcse(col)
+            s = summarize_one(col)
+            mc, se = s["log_mu"], s["log_mu_mcse"]
             closed = models.toy_posterior_predictive_logpdf(x, data)
             assert abs(mc - closed) < 3 * se
 

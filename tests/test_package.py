@@ -17,6 +17,9 @@ def test_public_names_are_unique_and_resolve():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(pdikit, name), name
+    # summarize's "log_mu_mcse" key is the one implementation of this error.
+    assert "log_posterior_predictive_mcse" not in names
+    assert not hasattr(pdikit, "log_posterior_predictive_mcse")
 
 
 def _records():

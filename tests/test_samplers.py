@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -234,6 +235,32 @@ class TestSamplerConfig:
                 pk.SamplerConfig(initial_step_size=step)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             pk.SamplerConfig(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: pk.SamplerConfig(adaptation_target_acceptance=1.5),
+            "adaptation_target_acceptance must be in (0, 1)",
+        ),
+        (
+            lambda: pk.SamplerConfig(adaptation_target_acceptance=0.0),
+            "adaptation_target_acceptance must be in (0, 1)",
+        ),
+        (
+            lambda: pk.posterior_draws_from(np.zeros(3), 0.5, 0),
+            "draws must be a 2-D array with at least 2 rows",
+        ),
+        (
+            lambda: pk.posterior_draws_from(np.zeros((1, 3)), 0.5, 0),
+            "draws must be a 2-D array with at least 2 rows",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def two_loop_metropolis(model, config):
