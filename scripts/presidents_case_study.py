@@ -43,11 +43,11 @@ def main():
     print("\nworst 10 by WAPDI:")
     print(f"  {'president':<16} {'days':>5} {'wapdi':>9} {'log_mu':>9}")
     by_id = dict(zip(ids, days))
-    for row in report.rows[:10]:
-        s = row.summary
+    wapdi, log_mu = report.columns["wapdi"], report.columns["log_mu"]
+    for k, datapoint_id in enumerate(report.ids[:10]):
         print(
-            f"  {row.datapoint_id:<16} {int(by_id[row.datapoint_id]):>5} "
-            f"{s.wapdi:>9.4f} {s.log_mu:>9.3f}"
+            f"  {datapoint_id:<16} {int(by_id[datapoint_id]):>5} "
+            f"{wapdi[k]:>9.4f} {log_mu[k]:>9.3f}"
         )
 
     out = Path(args.out)

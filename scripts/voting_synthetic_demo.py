@@ -15,10 +15,8 @@ from pdikit import models
 
 def state_wapdi(model, table, draws):
     matrix = pk.loglik_matrix(model, draws)
-    labels = {
-        model.datapoint_ids[i]: table.state_codes[table.state[i]]
-        for i in range(table.n)
-    }
+    codes, index = table.groups["state"]
+    labels = dict(zip(model.datapoint_ids, (codes[i] for i in index)))
     report = pk.rank_report(pk.summarize(matrix), model.datapoint_ids, labels)
     return pk.group_aggregate(report), report.waic
 

@@ -238,25 +238,18 @@ def _fit_matrix(cfg: RunConfig):
         variant = _VOTING_VARIANTS[cfg.model]
         if cfg.data:
             table = reportio.read_votes_csv(cfg.data)
-            column = cfg.model.removeprefix("voting-")
-            if variant != "base" and table.extra_name != column:
-                raise reportio.InputFormatError(
-                    f"{cfg.data}: model {cfg.model} needs the age/edu column {column!r}, "
-                    f"found {table.extra_name or 'neither'}"
-                )
             source = cfg.data
         else:
             n = 2000 if cfg.synthetic is None else cfg.synthetic
             table, _ = models.simulate_votes(n, seed=cfg.seed, variant=variant)
             source = f"synthetic survey (n={n})"
-        model = models.hier_logreg_model(table, variant)
+        try:
+            model = models.hier_logreg_model(table, variant)
+        except ValueError as exc:  # a --data table without the variant's column
+            raise reportio.InputFormatError(f"{cfg.data}: {exc}") from None
         if cfg.group_by:
-            codes, column = (
-                (table.state_codes, table.state)
-                if cfg.group_by == "state"
-                else (table.extra_codes, table.extra)
-            )
-            labels = dict(zip(model.datapoint_ids, (codes[i] for i in column)))
+            codes, index = table.groups[cfg.group_by]
+            labels = dict(zip(model.datapoint_ids, (codes[i] for i in index)))
         meta = {"data": source, "n": table.n, "variant": variant}
         draws = adaptive_rw_metropolis(model, cfg.sampler_config())
     matrix = loglik_matrix(model, draws)

@@ -20,7 +20,9 @@ import it when they are built or called. The voting models, ``VoteTable`` and
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -386,41 +388,35 @@ _HYPER_SCALE = 10.0  # Normal(0, 10) hyperpriors on group means and scales
 class VoteTable:
     """Observations for the logistic model: one row per respondent.
 
-    ``state`` holds integer codes into ``state_codes``; ``extra`` is the
-    optional age or education category column (codes into ``extra_codes``),
-    and ``extra_name`` says which of the two it is: ``"age"``, ``"edu"`` or
-    ``None``.
+    ``groups`` maps each group column's name to its category codes and each
+    row's index into them. ``"state"`` is required; a variant's own column
+    (``"age"`` or ``"edu"``) is an optional second entry. The mapping is
+    stored read-only.
     """
 
     vote: np.ndarray
     female: np.ndarray
     black: np.ndarray
-    state: np.ndarray
-    state_codes: tuple[str, ...]
-    extra: np.ndarray | None = None
-    extra_codes: tuple[str, ...] = ()
-    extra_name: str | None = None
+    groups: Mapping[str, tuple[tuple[str, ...], np.ndarray]]
 
     def __post_init__(self):
-        n = self.vote.size
-        for name in ("female", "black", "state", "extra"):
-            col = getattr(self, name)
-            if col is not None and col.size != n:
+        object.__setattr__(self, "groups", MappingProxyType(dict(self.groups)))
+        if "state" not in self.groups or not all(isinstance(k, str) and k for k in self.groups):
+            raise ValueError("a vote table needs named group columns, 'state' among them")
+        index = {name: col for name, (_, col) in self.groups.items()}
+        for name, col in {"female": self.female, "black": self.black, **index}.items():
+            if col.size != self.vote.size:
                 raise ValueError(f"column {name} has wrong length")
         for name in ("vote", "female", "black"):
             if not np.isin(getattr(self, name), (0, 1)).all():
                 raise ValueError(f"column {name} must be 0/1")
-        for name, codes in (("state", self.state_codes), ("extra", self.extra_codes)):
-            col = getattr(self, name)
-            if col is not None and (col.min() < 0 or col.max() >= len(codes)):
+        for name, (codes, col) in self.groups.items():
+            if col.min() < 0 or col.max() >= len(codes):
                 raise ValueError(f"column {name} has a code out of range")
 
     @property
     def n(self) -> int:
         return self.vote.size
-
-    def row_ids(self) -> tuple[str, ...]:
-        return tuple(f"r{i:05d}" for i in range(self.n))
 
 
 def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
@@ -444,20 +440,14 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
     """
     if variant not in HIER_VARIANTS:
         raise ValueError(f"variant must be one of {HIER_VARIANTS}")
-    if variant != "base":
-        column = _SYNTH_EXTRA[variant][0]
-        if table.extra is None:
-            raise ValueError(f"variant {variant!r} needs the age/edu column")
-        if table.extra_name not in (None, column):
-            raise ValueError(
-                f"variant {variant!r} needs the age/edu column {column!r}, "
-                f"found {table.extra_name!r}"
-            )
-
+    names = ("state",) if variant == "base" else ("state", _SYNTH_EXTRA[variant][0])
+    if names[-1] not in table.groups:
+        raise ValueError(
+            f"variant {variant!r} needs the group column {names[-1]!r}; "
+            f"the table has {', '.join(table.groups)}"
+        )
     # (per-respondent level, number of levels) of each hierarchical group
-    group_columns = [(table.state, len(table.state_codes))]
-    if variant != "base":
-        group_columns.append((table.extra, len(table.extra_codes)))
+    group_columns = [(table.groups[name][1], len(table.groups[name][0])) for name in names]
 
     # One mixed-radix code per respondent: equal codes mean equal covariates
     # and vote, so equal likelihoods.
@@ -528,7 +518,7 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         log_prior=log_prior,
         log_joint=log_joint,
         pointwise_row=pointwise_row,
-        datapoint_ids=table.row_ids(),
+        datapoint_ids=tuple(f"r{i:05d}" for i in range(table.n)),
         prior_mean=np.array(prior_mean),
         cells=inverse,
     )
@@ -572,22 +562,13 @@ def simulate_votes(n: int, seed: int = 0, variant: str = "base") -> tuple[VoteTa
     )
 
     eta = truth["beta_female"] * female + truth["beta_black"] * black + alpha_state[state]
-    extra, extra_codes, extra_name = None, (), None
+    groups = {"state": (_SYNTH_STATES, state)}
     if variant != "base":
-        extra_name, extra_codes, levels = _SYNTH_EXTRA[variant]
-        truth[f"alpha_{extra_name}"] = levels = np.array(levels)
-        extra = rng.integers(0, len(extra_codes), size=n)
+        column, codes, levels = _SYNTH_EXTRA[variant]
+        truth[f"alpha_{column}"] = levels = np.array(levels)
+        extra = rng.integers(0, len(codes), size=n)
+        groups[column] = (codes, extra)
         eta = eta + levels[extra]
 
     vote = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(np.int64)
-    table = VoteTable(
-        vote=vote,
-        female=female,
-        black=black,
-        state=state,
-        state_codes=_SYNTH_STATES,
-        extra=extra,
-        extra_codes=extra_codes,
-        extra_name=extra_name,
-    )
-    return table, truth
+    return VoteTable(vote=vote, female=female, black=black, groups=groups), truth

@@ -349,10 +349,6 @@ def read_loglik_csv(
     """
     path = Path(path)
     header, values = _parse_matrix(path)
-    if len(values) < 2:
-        raise InputFormatError(
-            f"{path}: need at least 2 posterior draws, found {len(values)}"
-        )
     try:
         return LogLikMatrix._adopt(values, header, allow_degenerate, keep_option)
     except ValueError as exc:
@@ -539,7 +535,12 @@ def read_group_labels_csv(path) -> dict[str, str]:
 
 
 def read_values_csv(path) -> np.ndarray:
-    """One positive finite number per line; a single leading header line is allowed."""
+    """One positive finite number per line, after an optional header name.
+
+    Only a first line that ``float()`` refuses and that is a name
+    (``str.isidentifier()``, like ``--dump-data``'s ``x``) is a header; every
+    other line is parsed, and a bad one is refused with its line and column.
+    """
     path = Path(path)
     rows = [(line_no, line.strip()) for line_no, line in _data_lines(path)]
     if not rows:
@@ -547,7 +548,8 @@ def read_values_csv(path) -> np.ndarray:
     try:
         float(rows[0][1])
     except ValueError:
-        rows = rows[1:]
+        if rows[0][1].isidentifier():
+            rows = rows[1:]
     if not rows:
         raise InputFormatError(f"{path}: no numeric rows")
     values = []
@@ -620,15 +622,9 @@ def read_votes_csv(path) -> VoteTable:
         if extra_col:
             extra_raw.append(int_cell(cells, extra_col, line_no))
 
-    state_codes, state = _category_index(state_raw)
-    extra_codes, extra = _category_index(extra_raw) if extra_col else ((), None)
+    groups = {"state": _category_index(state_raw)}
+    if extra_col:
+        groups[extra_col] = _category_index(extra_raw)
     return VoteTable(
-        vote=np.array(vote),
-        female=np.array(female),
-        black=np.array(black),
-        state=state,
-        state_codes=state_codes,
-        extra=extra,
-        extra_codes=extra_codes,
-        extra_name=extra_col,
+        vote=np.array(vote), female=np.array(female), black=np.array(black), groups=groups
     )

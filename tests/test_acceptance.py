@@ -266,12 +266,10 @@ def test_synthetic_voting_sign_recovery_and_grouping():
     assert math.copysign(1, beta_black) == math.copysign(1, truth["beta_black"])
 
     matrix = pk.loglik_matrix(model, d)
-    labels = {
-        model.datapoint_ids[i]: table.state_codes[table.state[i]]
-        for i in range(table.n)
-    }
+    codes, index = table.groups["state"]
+    labels = dict(zip(model.datapoint_ids, (codes[i] for i in index)))
     report = pk.rank_report(pk.summarize(matrix), model.datapoint_ids, labels)
     groups = pk.group_aggregate(report)
-    assert set(groups) == set(table.state_codes)
+    assert set(groups) == set(table.groups["state"][0])
     assert sum(g.count for g in groups.values()) == table.n
     assert all(np.isfinite(g.mean_wapdi) for g in groups.values())

@@ -594,6 +594,18 @@ def test_data_and_synthetic_together_is_a_usage_error(command, model, tmp_path, 
     assert not out.exists()
 
 
+def test_toy_data_with_a_mistyped_first_value_exits_3(tmp_path, capsys):
+    # The first line is a header only if it is a name; "1.O" is a bad value.
+    data = tmp_path / "x.csv"
+    data.write_text("1.O\n2.0\n3.0\n")
+    out = tmp_path / "o"
+    assert main(["fit", "--model", "toy-gamma", "--data", str(data), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"pdikit: error: {data}: non-numeric value '1.O' at line 1, column 1\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
 def test_toy_data_must_be_positive_and_finite(bad, tmp_path, capsys):
     data = tmp_path / "x.csv"
@@ -702,8 +714,9 @@ class TestVotesCsvErrors:
         p = tmp_path / "v.csv"
         p.write_text("vote,sex,race,state,age\n1,0,0,ny,3\n0,1,0,wy,7\n1,0,1,ny,3\n")
         table = reportio.read_votes_csv(p)
-        assert table.extra_codes == ("3", "7")
-        assert list(table.extra) == [0, 1, 0]
+        codes, index = table.groups["age"]
+        assert codes == ("3", "7")
+        assert list(index) == [0, 1, 0]
 
     def test_age_model_on_ageless_data_exits_3(self, tmp_path, capsys):
         p = tmp_path / "v.csv"
@@ -720,21 +733,25 @@ class TestVotesCsvErrors:
             ]
         )
         assert rc == 3
-        assert "age/edu" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"pdikit: error: {p}: variant 'with_age' needs the group column 'age'; "
+            "the table has state\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("model, column", [("voting-age", "edu"), ("voting-edu", "age")])
     def test_model_on_the_other_column_exits_3(self, tmp_path, capsys, model, column):
         p = tmp_path / "v.csv"
         rows = [f"{i % 2},{i // 2 % 2},{i // 4 % 2},s{i % 3},{i % 4}" for i in range(60)]
         p.write_text(f"vote,sex,race,state,{column}\n" + "\n".join(rows) + "\n")
-        assert reportio.read_votes_csv(p).extra_name == column
+        assert list(reportio.read_votes_csv(p).groups) == ["state", column]
         own = model.removeprefix("voting-")
         out = tmp_path / "o"
         argv = ["fit", "--model", model, "--data", str(p), "--group-by", own]
         assert main(argv + ["--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            f"pdikit: error: {p}: model {model} needs the age/edu column {own!r}, "
-            f"found {column}\n"
+            f"pdikit: error: {p}: variant 'with_{own}' needs the group column {own!r}; "
+            f"the table has state, {column}\n"
         )
         assert not out.exists()
 
@@ -742,8 +759,9 @@ class TestVotesCsvErrors:
         p = tmp_path / "v.csv"
         p.write_text("vote,sex,race,state\n1,0,0,wy\n0,1,0,ak\n1,0,1,ny\n0,0,0,ak\n")
         table = reportio.read_votes_csv(p)
-        assert table.state_codes == ("ak", "ny", "wy")
-        assert table.state.tolist() == [2, 0, 1, 0]
+        codes, index = table.groups["state"]
+        assert codes == ("ak", "ny", "wy")
+        assert index.tolist() == [2, 0, 1, 0]
 
     def test_age_and_edu_together_rejected(self, tmp_path, capsys):
         p = tmp_path / "both.csv"

@@ -130,13 +130,15 @@ class TestMomentMatch:
                 build(np.array(counts))
 
 
+_STATE = (("AK", "AL"), np.array([0, 1, 0]))
+
+
 def _vote_table(**changes):
     columns = dict(
         vote=np.array([0, 1, 1]),
         female=np.array([1, 0, 1]),
         black=np.array([0, 0, 1]),
-        state=np.array([0, 1, 0]),
-        state_codes=("AK", "AL"),
+        groups={"state": _STATE},
     )
     return models.VoteTable(**{**columns, **changes})
 
@@ -146,7 +148,34 @@ def _vote_table(**changes):
     [
         (lambda: models.relabel_by_dispersion(np.zeros((4, 8))), "expected draws with 9 columns"),
         (lambda: _vote_table(female=np.array([1, 0])), "column female has wrong length"),
-        (lambda: _vote_table(state=np.array([0, 2, 1])), "column state has a code out of range"),
+        (
+            lambda: _vote_table(groups={"state": (("AK", "AL"), np.array([0, 2, 1]))}),
+            "column state has a code out of range",
+        ),
+        (
+            lambda: _vote_table(groups={"state": _STATE, "age": (("20", "40"), np.array([0, 1]))}),
+            "column age has wrong length",
+        ),
+        (
+            lambda: _vote_table(groups={"state": _STATE, "edu": (("hs",), np.array([0, 1, 0]))}),
+            "column edu has a code out of range",
+        ),
+        (
+            lambda: _vote_table(groups={"age": (("20",), np.zeros(3, np.int64))}),
+            "a vote table needs named group columns, 'state' among them",
+        ),
+        (
+            lambda: _vote_table(groups={"state": _STATE, None: (("20",), np.zeros(3, np.int64))}),
+            "a vote table needs named group columns, 'state' among them",
+        ),
+        (
+            lambda: _vote_table(groups={"state": _STATE, "": (("20",), np.zeros(3, np.int64))}),
+            "a vote table needs named group columns, 'state' among them",
+        ),
+        (
+            lambda: models.hier_logreg_model(_vote_table(), "with_age"),
+            "variant 'with_age' needs the group column 'age'; the table has state",
+        ),
         (
             lambda: models.hier_logreg_model(_vote_table(), "with_state"),
             f"variant must be one of {models.HIER_VARIANTS}",
@@ -482,7 +511,9 @@ class TestHierLogReg:
     def test_parameter_layout(self, variant, sigma_coords):
         # [beta_female, beta_black, mu_s, sigma_s, alpha_s (3)] plus
         # [mu_e, sigma_e, alpha_e (2)] for the expanded variants
-        model = models.hier_logreg_model(every_cell_table(n_states=3, n_extra=2), variant)
+        extra = "age" if variant == "with_age" else "edu"
+        table = every_cell_table(n_states=3, n_extra=2, extra=extra)
+        model = models.hier_logreg_model(table, variant)
         h = 10.0 * math.sqrt(2.0 / math.pi)
         want = [0.0, 0.0, 0.0, h, 0.0, 0.0, 0.0]
         if variant != "base":
@@ -504,8 +535,8 @@ class TestHierLogReg:
     @pytest.mark.parametrize(
         "table_variant, variant, message",
         [
-            ("with_edu", "with_age", "needs the age/edu column 'age', found 'edu'"),
-            ("with_age", "with_edu", "needs the age/edu column 'edu', found 'age'"),
+            ("with_edu", "with_age", "needs the group column 'age'; the table has state, edu"),
+            ("with_age", "with_edu", "needs the group column 'edu'; the table has state, age"),
         ],
     )
     def test_variant_rejects_the_other_column(self, table_variant, variant, message):
@@ -519,16 +550,24 @@ class TestHierLogReg:
                 vote=np.array([0, 2]),
                 female=np.array([0, 1]),
                 black=np.array([0, 0]),
-                state=np.array([0, 0]),
-                state_codes=("aa",),
+                groups={"state": (("aa",), np.array([0, 0]))},
             )
+
+    def test_vote_table_has_no_unnamed_group_column(self):
+        table, _ = self._table(variant="with_age")
+        assert list(table.groups) == ["state", "age"]
+        with pytest.raises(TypeError):
+            table.groups["edu"] = table.groups["age"]  # the checked mapping is read-only
+        columns = dict(vote=table.vote, female=table.female, black=table.black)
+        with pytest.raises(TypeError):  # the removed separate column
+            models.VoteTable(**columns, groups=table.groups, extra=table.groups["age"][1])
 
     def test_synthetic_generator_truth_and_shapes(self):
         table, truth = models.simulate_votes(500, seed=1, variant="with_age")
         assert table.n == 500
-        assert table.extra is not None
+        assert list(table.groups) == ["state", "age"]
         assert truth["beta_black"] == -2.0
-        assert len(truth["alpha_age"]) == len(table.extra_codes)
+        assert len(truth["alpha_age"]) == len(table.groups["age"][0])
 
     def test_sign_recovery_smallish(self):
         # quick version of the acceptance check: N=1200, short chain
@@ -551,14 +590,15 @@ def per_respondent_target(table, variant):
     female = table.female.astype(np.float64)
     black = table.black.astype(np.float64)
     y = table.vote.astype(np.float64)
-    n_states = len(table.state_codes)
-    n_extra = len(table.extra_codes) if variant != "base" else 0
+    state_codes, state = table.groups["state"]
+    extra_codes, extra = table.groups.get(variant.removeprefix("with_"), ((), None))
+    n_states, n_extra = len(state_codes), len(extra_codes)
 
     def row(theta):
-        eta = theta[0] * female + theta[1] * black + theta[4 : 4 + n_states][table.state]
+        eta = theta[0] * female + theta[1] * black + theta[4 : 4 + n_states][state]
         if n_extra:
             off = 4 + n_states
-            eta = eta + theta[off + 2 : off + 2 + n_extra][table.extra]
+            eta = eta + theta[off + 2 : off + 2 + n_extra][extra]
         return y * log_sigmoid(eta) + (1.0 - y) * log_sigmoid(-eta)
 
     def prior(theta):
@@ -587,7 +627,7 @@ def same_bits(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def every_cell_table(n_states, n_extra):
+def every_cell_table(n_states, n_extra, extra="edu"):
     """One respondent per (vote, female, black, state, extra) tuple, shuffled."""
     grid = np.stack(
         np.meshgrid(*[np.arange(k) for k in (2, 2, 2, n_states, n_extra)], indexing="ij"),
@@ -598,10 +638,10 @@ def every_cell_table(n_states, n_extra):
         vote=grid[:, 0],
         female=grid[:, 1],
         black=grid[:, 2],
-        state=grid[:, 3],
-        state_codes=tuple(f"s{j}" for j in range(n_states)),
-        extra=grid[:, 4],
-        extra_codes=tuple(f"e{g}" for g in range(n_extra)),
+        groups={
+            "state": (tuple(f"s{j}" for j in range(n_states)), grid[:, 3]),
+            extra: (tuple(f"e{g}" for g in range(n_extra)), grid[:, 4]),
+        },
     )
 
 
@@ -616,7 +656,7 @@ class TestHierLogRegCells:
             for scale in (0.3, 1.0, 3.0)
             for _ in range(6)
         ]
-        n_states = len(table.state_codes)
+        n_states = len(table.groups["state"][0])
         for sign in (1.0, -1.0):  # etas of +-700 and beyond
             theta = out[0].copy()
             theta[4 : 4 + n_states] = sign * 700.0
@@ -658,7 +698,7 @@ class TestHierLogRegCells:
     def test_one_cell(self):
         ones = np.ones(25, dtype=np.int64)
         table = models.VoteTable(
-            vote=ones, female=0 * ones, black=ones, state=0 * ones, state_codes=("only",)
+            vote=ones, female=0 * ones, black=ones, groups={"state": (("only",), 0 * ones)}
         )
         self._check(table, "base")
 

@@ -260,7 +260,7 @@ class TestMatrixReaderContract:
         assert str(err.value) == f"{path}: {expected}"
 
     @pytest.mark.parametrize(
-        "lines, found",
+        "lines, got",
         [
             (["a,b"], 0),
             (["# c", "a,b", "", "# only a comment"], 0),
@@ -268,11 +268,11 @@ class TestMatrixReaderContract:
             (["a,b", "# c", "-1_0,１"], 1),
         ],
     )
-    def test_too_few_draws_keep_their_message(self, tmp_path, lines, found):
+    def test_too_few_draws_keep_their_message(self, tmp_path, lines, got):
         path = write(tmp_path, lines)
         with pytest.raises(reportio.InputFormatError) as err:
             reportio.read_loglik_csv(path)
-        assert str(err.value) == f"{path}: need at least 2 posterior draws, found {found}"
+        assert str(err.value) == f"{path}: need at least 2 posterior draws, got {got}"
 
     @pytest.mark.parametrize(
         "lines, message",
@@ -381,6 +381,14 @@ class TestRowBudget:
         assert reportio.read_loglik_csv(path).values.tolist() == [[1.0] * 3] * 50
         assert two_processes == ["parsed"]
 
+    def test_a_fixed_buffer_refuses_rows_past_its_room(self):
+        # 10 bytes hold at most 3 rows of 2 cells, each at least "1,1\n".
+        fixed = reportio._Rows(2, 10, fixed=True)
+        fixed.put(0, np.ones((3, 2)))
+        with pytest.raises(reportio.InputFormatError, match="^more draw rows than the file"):
+            fixed.put(3, np.ones((1, 2)))
+        assert fixed.array(3).tolist() == [[1.0, 1.0]] * 3
+
 
 class TestPipedMatrix:
     """A pipe is read once: a block ``np.loadtxt`` declines is re-scanned from memory."""
@@ -447,6 +455,23 @@ class TestTwoProcessRead:
             reportio.read_loglik_csv(path)
         assert str(err.value) == f"{path}: non-numeric value 'oops' at line {bad_line}, column 2"
         assert two_processes == ["fell back"]
+
+    def test_header_past_the_midpoint_reads_in_one_process(self, tmp_path, two_processes):
+        # Over 4 MiB, so the two-process read is tried at its real size; the
+        # first half is comment lines, so the child would find no header.
+        comments = ["# " + "c" * 1022] * 2400
+        lines = ["a,b,c,d", *[f"-{i}.{i % 97},{LONG},-{i}e-3,-7" for i in range(1, 52000)]]
+        path = write(tmp_path, comments + lines)
+        size = path.stat().st_size
+        assert size >= 4 * 2**20 and 1024 * len(comments) > size // 2
+        two = read_bits(path)
+        assert two_processes == ["fell back"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reportio, "_cpus", lambda: 1)
+            one = read_bits(path)
+        assert two_processes == ["fell back"]  # the second read did not try
+        assert np.array_equal(two, one)
+        assert one.shape == (len(lines) - 1, 4)
 
     @pytest.mark.parametrize("pad", range(0, 120, 4))
     def test_breaks_next_to_the_midpoint(self, tmp_path, pad):
@@ -573,10 +598,51 @@ class TestReaderLineNumbers:
                 "need a header and at least one row",
             ),
             ("read_votes_csv", ["vote,sex,race,state", "# c", "1,0,0"], "ragged row at line 3"),
+            # only a name is a header: a mistyped first value is refused, not skipped
+            (
+                "read_values_csv",
+                ["1.O", "2.0", "3.0"],
+                "non-numeric value '1.O' at line 1, column 1",
+            ),
+            ("read_values_csv", ["# c", "x,y", "2"], "non-numeric value 'x,y' at line 2, column 1"),
+            ("read_values_csv", ["inf", "2.0"], "line 1: 'inf' is not a positive finite number"),
         ],
     )
     def test_refusals(self, tmp_path, reader, lines, message):
         self._raises(getattr(reportio, reader), write(tmp_path, lines), message)
+
+
+# Pieces of every reader's format, joined at random: headers, rows, cells,
+# separators, every line break, comment marks and bytes that are not UTF-8.
+_FUZZ_PIECES = [
+    "vote,sex,race,state", ",age", ",edu", "1,0,1,ny", "0,1,0,wy,3", "id,label", "a,g",
+    ",".join(reportio.SUMMARY_COLUMNS), "x", "a,b", "-1.5,-2", "0", "1", "-1.5", "1e308",
+    "-inf", "nan", "1_0", "１", "ny", ",", "\t", " ", "#", "\n", "\n", "\n", "\r", "\r\n",
+    "\f", "\x1c", "\u2028", "\ufeff", "é",
+]
+fuzz_texts = st.lists(
+    st.sampled_from([piece.encode() for piece in _FUZZ_PIECES] + [b"\xff", b"\xe2\x80"]),
+    max_size=40,
+).map(b"".join)
+_READERS = (
+    reportio.read_loglik_csv,
+    reportio.read_summary_csv,
+    reportio.read_group_labels_csv,
+    reportio.read_values_csv,
+    reportio.read_votes_csv,
+)
+
+
+@given(fuzz_texts)
+@settings(max_examples=300, deadline=None)
+def test_readers_refuse_only_with_their_path(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(data)
+    for reader in _READERS:
+        try:
+            reader(path)
+        except reportio.InputFormatError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("col_no", range(2, 9))
