@@ -351,25 +351,8 @@ def summarize(matrix: LogLikMatrix) -> dict[str, np.ndarray]:
     return out
 
 
-def rank_report(
-    summaries: dict[str, np.ndarray],
-    ids,
-    group_labels: dict[str, str] | None = None,
-) -> MismatchReport:
-    """Rank datapoints by WAPDI (rank 1 = most negative = worst).
-
-    ``summaries`` is what ``summarize`` returns. Ties break by ascending
-    log_mu, then by id. The secondary ranking by log_mu uses the mirrored key
-    (log_mu, wapdi, id). Duplicate ids, empty ids, ids holding a comma, a
-    double quote or a line break, and ids starting with ``#`` (which every
-    reader skips as a comment) are rejected. The WAIC scalar averages the
-    finite terms only.
-    """
-    ids = [str(i) for i in ids]
-    log_mu = summaries["log_mu"]
-    wapdi_val = summaries["wapdi"]
-    if len(log_mu) != len(ids):
-        raise ValueError(f"{len(log_mu)} summaries for {len(ids)} ids")
+def _check_ids(ids: list[str]) -> None:
+    """Raise ``ValueError`` for ids that a summary file could not carry and read back."""
     for index, datapoint_id in enumerate(ids):
         if not datapoint_id:
             raise ValueError(f"datapoint id at index {index} is empty")
@@ -387,6 +370,27 @@ def rank_report(
     if len(counts) != len(ids):
         dupes = sorted(i for i, c in counts.items() if c > 1)
         raise ValueError(f"duplicate datapoint ids: {', '.join(dupes)}")
+
+
+def rank_report(
+    summaries: dict[str, np.ndarray],
+    ids,
+    group_labels: dict[str, str] | None = None,
+) -> MismatchReport:
+    """Rank datapoints by WAPDI (rank 1 = most negative = worst).
+
+    ``summaries`` is what ``summarize`` returns. Ties break by ascending
+    log_mu, then by id. The secondary ranking by log_mu uses the mirrored key
+    (log_mu, wapdi, id). Empty or repeated ids, ids starting with ``#`` and
+    ids holding a comma, a double quote or a line break are rejected
+    (``_check_ids``). The WAIC scalar averages the finite terms only.
+    """
+    ids = [str(i) for i in ids]
+    log_mu = summaries["log_mu"]
+    wapdi_val = summaries["wapdi"]
+    if len(log_mu) != len(ids):
+        raise ValueError(f"{len(log_mu)} summaries for {len(ids)} ids")
+    _check_ids(ids)
 
     id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
     # NaN (flagged) entries sort after every finite value so ranks stay a

@@ -13,9 +13,9 @@ Each model's functions are written once over the last axis, which holds the
 parameter vector, so one (P,) theta and an (R, P) batch run the same lines
 (see ``ModelSpec``).
 
-Only the NB2 mixture and the gamma toy need scipy, for ``gammaln``; they
-import it when they are built or called. The voting models, ``VoteTable`` and
-``simulate_votes`` run on numpy alone.
+The NB2 mixture and the gamma toy need scipy only for ``gammaln``, imported
+when they are built or called; the mixture's log-sum-exp is its own max shift,
+within a few ulp of scipy's, not bit for bit. The voting code needs numpy alone.
 """
 
 from __future__ import annotations
@@ -117,40 +117,17 @@ _PHI_PRIOR_RATE = 0.01
 
 
 def _logsumexp_components(a, b):
-    """log sum_k b[k] exp(a[k]) over the leading (component) axis of a.
+    """log sum_k b[k] exp(a[k]) over the leading axis, by the textbook max shift.
 
-    ``b`` broadcasts against ``a``: (K, R, 1) weights for the (K, R, N)
-    components of an NB2 batch. This mirrors scipy.special.logsumexp's own
-    algorithm (scipy 1.17), not the textbook max-shift: the tied maxima are
-    summed apart and the rest enter through log1p. With the component axis
-    leading, each reduction is K elementwise operations on whole (R, N)
-    slabs, and for K < 8 numpy adds the K terms left to right whichever axis
-    they lie on, so every value is bitwise equal to
-    ``logsumexp(a[:, r].T, axis=1, b=b[:, r, 0])`` and the Metropolis chain
-    stays the same draw for draw. scipy's version spends most of its time in
-    array-API dispatch, which dominates at the 43 x 3 size of one NB2 theta.
+    ``b`` holds (K, R, 1) weights for (K, R, N) components. Zero-weight terms
+    are left out and a row with no finite maximum is not shifted, so -inf,
+    +inf and NaN rows match ``scipy.special.logsumexp``.
     """
-    # scipy silences the same floating-point warnings, which only rows with
-    # all weights zero or -inf/NaN terms raise.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        masked = a.copy()
-        unweighted = b == 0
-        if unweighted.any():
-            np.copyto(masked, -np.inf, where=unweighted)
-        a_max = masked.max(axis=0)
-        at_max = masked == a_max
-        m = (b * at_max).sum(axis=0)
-        np.copyto(masked, -np.inf, where=at_max)
-        s = (b * np.exp(masked - a_max)).sum(axis=0)
-        np.divide(s, m, out=s, where=s != 0)
-        out = np.log1p(s) + np.log(m) + a_max
-    finite = np.isfinite(out)
-    if not finite.all():
-        # scipy answers these rows by the direct formula; mirror that too.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            direct = np.log((b * np.exp(a)).sum(axis=0))
-        out = np.where(finite, out, direct)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):  # silenced as by scipy
+        a = np.where(b == 0, -np.inf, a)
+        a_max = a.max(axis=0)
+        shift = np.where(np.isfinite(a_max), a_max, 0.0)
+        return np.log((b * np.exp(a - shift)).sum(axis=0)) + shift
 
 
 def nb2_mixture_model(data, ids=None) -> ModelSpec:
@@ -410,6 +387,8 @@ class VoteTable:
         for name in ("vote", "female", "black"):
             if not np.isin(getattr(self, name), (0, 1)).all():
                 raise ValueError(f"column {name} must be 0/1")
+        if self.vote.size == 0:
+            raise ValueError("a vote table needs at least one row")
         for name, (codes, col) in self.groups.items():
             if col.min() < 0 or col.max() >= len(codes):
                 raise ValueError(f"column {name} has a code out of range")

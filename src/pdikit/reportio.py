@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dispersion import LogLikMatrix, MismatchReport
+from .dispersion import LogLikMatrix, MismatchReport, _check_ids
 
 __all__ = [
     "InputFormatError",
@@ -231,9 +231,15 @@ def _parse_draws(path: Path, lines, n_cols: int, out: _Rows, row: int) -> int:
 
 
 def _header(path: Path, first: tuple[int, str] | None) -> list[str]:
+    """The datapoint ids of the numbered header line, refused before any draw is parsed."""
     if first is None:
         raise InputFormatError(f"{path}: empty file")
-    return [c.strip() for c in first[1].split(",")]
+    ids = [c.strip() for c in first[1].split(",")]
+    try:
+        _check_ids(ids)
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: line {first[0]}: {exc}") from None
+    return ids
 
 
 def _parse_halves(path: Path, size: int) -> tuple[list[str], np.ndarray] | None:
@@ -588,6 +594,9 @@ def read_votes_csv(path) -> VoteTable:
     if len(rows) < 2:
         raise InputFormatError(f"{path}: need a header and at least one row")
     header = [c.strip().lower() for c in rows[0][1].split(",")]
+    dupes = ", ".join(repr(c) for c in sorted(set(header)) if header.count(c) > 1)
+    if dupes:
+        raise InputFormatError(f"{path}: line {rows[0][0]}: repeated columns: {dupes}")
     missing = [c for c in _VOTE_REQUIRED if c not in header]
     if missing:
         raise InputFormatError(f"{path}: missing columns: {', '.join(missing)}")

@@ -173,6 +173,13 @@ def _vote_table(**changes):
             "a vote table needs named group columns, 'state' among them",
         ),
         (
+            lambda: _vote_table(
+                **{c: np.zeros(0, np.int64) for c in ("vote", "female", "black")},
+                groups={"state": (("AK",), np.zeros(0, np.int64))},
+            ),
+            "a vote table needs at least one row",
+        ),
+        (
             lambda: models.hier_logreg_model(_vote_table(), "with_age"),
             "variant 'with_age' needs the group column 'age'; the table has state",
         ),
@@ -218,9 +225,10 @@ class TestNB2MixtureModel:
                 model.log_prior(theta) + total, rel=1e-10
             )
 
-    def test_target_bitwise_equals_scipy(self):
-        # The sampler's chain is only reproducible if the model's own
-        # logsumexp returns scipy's bits exactly, ties and zero weights too.
+    def test_target_within_4_eps_of_scipy(self):
+        # The model's own max-shift logsumexp is not scipy's algorithm, so
+        # rows agree to a few ulp (1 eps measured), ties and zero weights too;
+        # log_joint still sums exactly the row the sampler's matrix gets.
         days = datasets.presidents_days()
         model = models.nb2_mixture_model(days)
         shape, rate = models.moment_match_mu_prior(days)
@@ -236,19 +244,20 @@ class TestNB2MixtureModel:
             theta = np.concatenate([pi, mu, phi])
             comp = models.nb2_log_pmf(days[:, None], mu, phi)
             expected = logsumexp(comp, axis=1, b=pi)
-            assert np.array_equal(model.pointwise_row(theta), expected)
+            row = model.pointwise_row(theta)
+            np.testing.assert_allclose(row, expected, rtol=4 * np.finfo(float).eps, atol=0)
             prior = (
                 gammaln(3)
                 + gamma_logpdf(mu, shape, rate).sum()
                 + gamma_logpdf(phi, 1.0, 0.01).sum()
             )
             assert model.log_prior(theta) == prior
-            assert model.log_joint(theta) == prior + expected.sum()
+            assert model.log_joint(theta) == prior + row.sum()
 
     def test_non_finite_rows_bitwise_equal_scipy(self):
-        # Rows the max shift leaves non-finite take scipy's direct formula.
-        # Without it an all -inf row is NaN, where scipy gives -inf: the
-        # sampler stops on a NaN target but rejects a -inf one.
+        # A row with no finite maximum is not shifted. Shifted by -inf, an
+        # all -inf row would be NaN, where scipy gives -inf: the sampler
+        # stops on a NaN target but rejects a -inf one.
         a = np.array(
             [
                 [-np.inf, -np.inf, -np.inf],
@@ -265,7 +274,7 @@ class TestNB2MixtureModel:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert want[0] == want[1] == -np.inf
 
-    def test_repeated_counts_bitwise_equal_scipy(self):
+    def test_repeated_counts_within_4_eps_of_scipy(self):
         # The components are scored once per distinct count and gathered back;
         # here every count repeats, in no particular order.
         data = np.array([40.0, 5.0, 1460.0, 3.0, 40.0, 1460.0, 5.0, 3.0, 1460.0, 40.0])
@@ -282,7 +291,9 @@ class TestNB2MixtureModel:
                 pi[trial % 2] = 0.0
             thetas.append(np.concatenate([pi, mu, phi]))
             expected = logsumexp(models.nb2_log_pmf(data[:, None], mu, phi), axis=1, b=pi)
-            assert np.array_equal(model.pointwise_row(thetas[-1]), expected)
+            row = model.pointwise_row(thetas[-1])
+            np.testing.assert_allclose(row, expected, rtol=4 * np.finfo(float).eps, atol=0)
+            assert model.log_joint(thetas[-1]) == model.log_prior(thetas[-1]) + row.sum()
         rows = model.pointwise_row(np.array(thetas))
         assert rows.flags.c_contiguous
         for theta, row in zip(thetas, rows):

@@ -181,6 +181,24 @@ class TestMatrixReaderContract:
         assert list(reportio._data_lines(path)) == splitlines_oracle(path)
         assert np.array_equal(read_bits(path), values.view(np.uint64))
 
+    @pytest.mark.parametrize("split", [False, True], ids=["one-process", "two-process"])
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("a,b,a", "duplicate datapoint ids: a"),
+            (",b,c", "datapoint id at index 0 is empty"),
+            ("a,#b,c", "datapoint id '#b' at index 1 contains a leading '#'"),
+        ],
+    )
+    def test_bad_header_id_refused_before_the_draws(self, tmp_path, split, header, message):
+        # The draw line holds a bad cell too: the header is refused first.
+        path = write(tmp_path, ["# ids", header, "-1.0,oops,-2.0"])
+        with split_reads() if split else contextlib.nullcontext() as outcomes:
+            with pytest.raises(reportio.InputFormatError) as err:
+                reportio.read_loglik_csv(path)
+        assert str(err.value).startswith(f"{path}: line 2: {message}")
+        assert not outcomes  # the two-process read refused it too, before any fork
+
     def test_bad_utf8_names_its_whole_file_offset(self, tmp_path):
         head = b"a,b\n" + b"-1.0,-2.0\n" * 2000  # past the first read of the file
         path = tmp_path / "m.csv"
@@ -606,6 +624,17 @@ class TestReaderLineNumbers:
             ),
             ("read_values_csv", ["# c", "x,y", "2"], "non-numeric value 'x,y' at line 2, column 1"),
             ("read_values_csv", ["inf", "2.0"], "line 1: 'inf' is not a positive finite number"),
+            # a second column of one name was once read as nothing at all
+            (
+                "read_votes_csv",
+                ["# c", "vote,sex,race,state,state", "1,0,0,ny,ca"],
+                "line 2: repeated columns: 'state'",
+            ),
+            (
+                "read_votes_csv",
+                ["VOTE,sex,race,Age,state,age,vote,,", "1,0,0,3,ny,3,1,,"],
+                "line 1: repeated columns: '', 'age', 'vote'",
+            ),
         ],
     )
     def test_refusals(self, tmp_path, reader, lines, message):
@@ -874,8 +903,8 @@ class TestStrictJson:
         out = tmp_path / "out"
         assert main(["compute", "--input", str(matrix), "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "pdikit: error: datapoint id 'say \"b\"' at index 1 contains a comma, "
-            "a double quote or a line break\n"
+            f"pdikit: error: {matrix}: line 1: datapoint id 'say \"b\"' at index 1 "
+            "contains a comma, a double quote or a line break\n"
         )
         assert not (out / "summary.csv").exists()
 
@@ -886,7 +915,7 @@ class TestStrictJson:
         out = tmp_path / "out"
         assert main(["compute", "--input", str(matrix), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(
-            "pdikit: error: datapoint id '#b' at index 1 contains a leading '#'"
+            f"pdikit: error: {matrix}: line 1: datapoint id '#b' at index 1 contains a leading '#'"
         )
         assert not out.exists()
 
