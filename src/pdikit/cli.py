@@ -229,7 +229,7 @@ def _fit_matrix(cfg: RunConfig):
         days = datasets.presidents_days()
         model = models.nb2_mixture_model(days, datasets.presidents_ids())
         meta = {"data": "embedded presidents table", "n": int(days.size)}
-        draws = adaptive_rw_metropolis(model, cfg.sampler_config())
+        draws = _metropolis(model, cfg)
         relabeled = models.relabel_by_dispersion(draws.draws)
         draws = posterior_draws_from(
             relabeled, draws.acceptance_rate, draws.seed, draws.warnings
@@ -251,7 +251,7 @@ def _fit_matrix(cfg: RunConfig):
             codes, index = table.groups[cfg.group_by]
             labels = dict(zip(model.datapoint_ids, (codes[i] for i in index)))
         meta = {"data": source, "n": table.n, "variant": variant}
-        draws = adaptive_rw_metropolis(model, cfg.sampler_config())
+        draws = _metropolis(model, cfg)
     matrix = loglik_matrix(model, draws)
     for w in draws.warnings:
         print(f"pdikit: warning: {w}", file=sys.stderr)
@@ -262,6 +262,19 @@ def _fit_matrix(cfg: RunConfig):
         sampler_warnings=list(draws.warnings),
     )
     return model, draws, matrix, labels, meta
+
+
+def _metropolis(model, cfg: RunConfig):
+    """The chain's draws; a model that fails at a walked proposal is a numerical failure.
+
+    numpy's floating-point warnings stay off stderr, whose one line is the
+    error; the chain's batched calls set their own ``np.errstate``.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            return adaptive_rw_metropolis(model, cfg.sampler_config())
+    except ValueError as exc:  # e.g. NB2's "mu and phi must be > 0"
+        raise SamplerError(str(exc)) from None
 
 
 def _run_payload(cfg: RunConfig) -> dict:
@@ -276,7 +289,7 @@ def _write_outputs(
     extra_meta: dict,
 ) -> None:
     # Before any file is written, so that a missing label leaves no outputs.
-    group_means = group_aggregate(report) if report.group_labels else None
+    group_means = group_aggregate(report) if report.group_labels is not None else None
     outdir.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
         reportio.write_summary_csv(outdir / "summary.csv", report, cfg.seed)

@@ -68,11 +68,10 @@ class LogLikMatrix:
     likelihood under some draw), which are then summarized with flags instead
     of aborting.
 
-    It is stored as S x C distinct columns, in order of their first
-    datapoint, plus each datapoint's column among them: ``loglik_matrix``
-    stores one column per model cell (see ``ModelSpec``), the constructor and
-    ``read_loglik_csv`` every datapoint's own (C = N). ``summarize`` scores
-    each stored column once.
+    It is stored as S x C distinct columns plus each datapoint's column
+    among them: ``loglik_matrix`` stores one column per model cell (see
+    ``ModelSpec``), the constructor and ``read_loglik_csv`` every datapoint's
+    own (C = N). ``summarize`` scores each stored column once.
 
     ``values`` is the read-only S x N array. The constructor copies it, so
     the caller's array stays writeable; ``read_loglik_csv`` and
@@ -98,8 +97,7 @@ class LogLikMatrix:
 
         ``keep_option`` is what the caller's own user passes to keep -inf
         entries, named in the refusal; ``None`` when there is no such option.
-        ``column_of``, if given, holds each datapoint's column of ``values``,
-        whose columns must be in order of their first datapoint.
+        ``column_of``, if given, holds each datapoint's column of ``values``.
         """
         matrix = cls.__new__(cls)
         return matrix._take(values, datapoint_ids, allow_degenerate, keep_option, column_of)
@@ -118,11 +116,11 @@ class LogLikMatrix:
             raise ValueError("need at least 1 datapoint column")
 
         def first_at(mask) -> str:
-            # Columns are in order of their first datapoint, so the first
-            # hit in row-major order is the full matrix's first hit too.
-            s, c = np.argwhere(mask)[0]
-            n = c if column_of is None else np.argmax(column_of == c)
-            return f"at draw {s}, datapoint {n}"
+            # The full S x N matrix's first hit in row-major order: the first
+            # draw with a hit, then the first datapoint whose column has one.
+            s = np.argmax(mask.any(axis=1))
+            row = mask[s] if column_of is None else mask[s, column_of]
+            return f"at draw {s}, datapoint {np.argmax(row)}"
 
         # min and max allocate no mask the size of the matrix; NaN fails both.
         if not (values.min() > -np.inf and values.max() < np.inf):

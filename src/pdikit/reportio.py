@@ -448,12 +448,9 @@ def _strict_json(obj, **kwargs) -> str:
     """``json.dumps`` with every non-finite float written as ``null``.
 
     Strict JSON has no NaN or infinity; the summary flags say why a value is
-    missing. Most records hold none, so they are dumped once, unconverted.
+    missing.
     """
-    try:
-        return json.dumps(obj, allow_nan=False, **kwargs)
-    except ValueError:
-        return json.dumps(_finite_or_null(obj), allow_nan=False, **kwargs)
+    return json.dumps(_finite_or_null(obj), allow_nan=False, **kwargs)
 
 
 def write_summary_ndjson(path, report: MismatchReport, seed: int) -> None:
@@ -582,9 +579,9 @@ def read_votes_csv(path) -> VoteTable:
     """Read the survey schema: vote,sex,race,state[,age|edu].
 
     vote: 0/1; sex: 0=male, 1=female; race: 1=black, 0 otherwise; state: a
-    string code; age or edu (at most one of them): small non-negative integer
-    category codes. Category indices are assigned from the sorted distinct
-    codes in the file.
+    string code; age or edu (at most one of them): small-integer category
+    codes, any integer (a -1 is one more category, not a missing value).
+    Category indices are assigned from the sorted distinct codes in the file.
     """
     # Imported only when a votes file is read: compute and report never load models.
     from .models import VoteTable

@@ -268,16 +268,19 @@ def loglik_matrix(model: ModelSpec, draws: PosteriorDraws) -> LogLikMatrix:
     """Evaluate the pointwise log-likelihood at every draw: entry (s, n).
 
     Draws go to ``pointwise_row`` in batches of about ``LOGLIK_BLOCK_CELLS``
-    entries. Only one column per model cell is kept (see ``ModelSpec``),
-    ordered by each cell's first datapoint, so a model with C cells never
-    allocates S x N: the matrix adopts the S x C array filled here, without a
-    copy, and builds ``values`` from it on access. A NaN or infinite entry
-    raises ``SamplerError`` naming its first draw and datapoint.
+    entries. Only one column per model cell is kept (see ``ModelSpec``), so
+    a model with C cells never allocates S x N: the matrix adopts the S x C
+    array filled here, without a copy, and builds ``values`` from it on
+    access. A NaN or infinite entry raises ``SamplerError`` naming its first
+    draw and datapoint.
     """
     n = model.data_count
     first = column_of = None
     if model.cells is not None:
-        first, column_of = _cell_columns(model.cells, n)
+        cells = np.asarray(model.cells)
+        if cells.shape != (n,):
+            raise ValueError(f"cells has shape {cells.shape} for {n} datapoints")
+        _, first, column_of = np.unique(cells, return_index=True, return_inverse=True)
     values = np.empty((draws.draws.shape[0], n if first is None else first.size))
     step = max(1, LOGLIK_BLOCK_CELLS // n)
     for start in range(0, values.shape[0], step):
@@ -288,16 +291,3 @@ def loglik_matrix(model: ModelSpec, draws: PosteriorDraws) -> LogLikMatrix:
         return LogLikMatrix._adopt(values, model.datapoint_ids, column_of=column_of)
     except ValueError as exc:
         raise SamplerError(str(exc)) from None
-
-
-def _cell_columns(cells, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's first datapoint, in datapoint order, and each datapoint's cell among them."""
-    cells = np.asarray(cells)
-    if cells.shape != (n,):
-        raise ValueError(f"cells has shape {cells.shape} for {n} datapoints")
-    _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse]
-

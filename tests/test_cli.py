@@ -348,14 +348,16 @@ class TestComputeCommand:
         assert run["group_means"]["west"]["count"] == 1
 
     def test_missing_group_label_writes_no_summary(self, matrix_file, tmp_path, capsys):
+        # A file that labels no datapoint is refused like one that misses some.
         g = tmp_path / "groups.csv"
-        g.write_text("id,label\na,east\n")
         out = tmp_path / "res"
         argv = ["compute", "--input", str(matrix_file), "--groups", str(g)]
-        rc = main(argv + ["--formats", "csv,ndjson,svg", "--out", str(out)])
-        assert rc == 3
-        assert "'b' has no group label" in capsys.readouterr().err
-        assert not out.exists() or not list(out.iterdir())
+        for text, missing in [("id,label\na,east\n", "b"), ("id,label\n", "a"), ("", "a")]:
+            g.write_text(text)
+            rc = main(argv + ["--formats", "csv,ndjson,svg", "--out", str(out)])
+            assert rc == 3
+            assert f"'{missing}' has no group label" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_groups_are_read_after_the_matrix_is_freed(self, matrix_file, tmp_path, monkeypatch):
         g = tmp_path / "groups.csv"
@@ -579,6 +581,25 @@ def test_degenerate_fit_suggests_no_option(command, tmp_path, capsys, monkeypatc
         "pdikit: error: numerical failure: -inf log-likelihood at draw 0, "
         "datapoint 2 (zero-likelihood draw)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "model_args",
+    [
+        ["presidents-nb2", "--warmup", "0", "--draws", "2"],
+        ["voting-base", "--synthetic", "20", "--warmup", "3", "--draws", "3"],
+    ],
+    ids=["model-raises", "numpy-warns"],
+)
+def test_model_failure_in_the_chain_is_a_numerical_failure(model_args, tmp_path, capsys):
+    # A step of 1e300 walks to a proposal that the NB2 model refuses with a
+    # ValueError, or at which the voting model overflows into a NaN target
+    # (numpy warns on the way there, which pytest turns into errors).
+    out = tmp_path / "o"
+    assert main(["fit", "--model", *model_args, "--step", "1e300", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("pdikit: error: numerical failure: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, model", [("fit", "toy-gamma"), ("check-lemma", "voting-base")])
