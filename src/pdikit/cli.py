@@ -289,7 +289,12 @@ def _write_outputs(
     extra_meta: dict,
 ) -> None:
     # Before any file is written, so that a missing label leaves no outputs.
-    group_means = group_aggregate(report) if report.group_labels is not None else None
+    group_means = None
+    if report.group_labels is not None:
+        try:
+            group_means = group_aggregate(report)
+        except ValueError as exc:  # only --groups can leave a datapoint out
+            raise reportio.InputFormatError(f"{cfg.groups}: {exc}") from None
     outdir.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
         reportio.write_summary_csv(outdir / "summary.csv", report, cfg.seed)

@@ -71,20 +71,16 @@ def _parse_float(path: Path, cell: str, line_no: int, col_no: int) -> float:
         ) from None
 
 
-def _data_lines(
-    path: Path, start: int = 0, stop: int | None = None
-) -> Iterator[tuple[int, str]]:
+def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
     """(line number, line) for every line that is not blank or a ``#`` comment.
 
-    The file is read in binary from byte ``start``, one physical line (up to
-    ``b"\\n"``) at a time, and stops before the first physical line that
-    starts at or after byte ``stop``; line 1 is the one at byte ``start``.
-    Each physical line is decoded alone and broken as
+    The file is read in binary, one physical line (up to ``b"\\n"``) at a
+    time. Each physical line is decoded alone and broken as
     ``read_text().splitlines()`` breaks the whole file (at ``\\r``, ``\\f``,
     U+2028, ...): only a line that holds a break other than its final
     ``\\n``, or is not ASCII, is split again. A UTF-8 byte-order mark at byte
     0 is dropped. A file that cannot be opened, or a byte that is not UTF-8,
-    raises an ``InputFormatError`` (for a byte, with its line and whole-file
+    raises an ``InputFormatError`` (for a byte, with its line and file
     offset).
     """
     try:
@@ -94,12 +90,8 @@ def _data_lines(
     except OSError as exc:
         raise InputFormatError(f"{path}: cannot read: {exc.strerror}") from None
     with fh:
-        if start:
-            fh.seek(start)
-        offset, line_no = start, 0
+        offset, line_no = 0, 0
         for raw in fh:
-            if stop is not None and offset >= stop:
-                return
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -136,9 +128,11 @@ _BLOCK_CELLS = 2**16
 
 # A regular matrix file of this many bytes or more is parsed in two processes
 # when the reader may run on two CPUs. On a 2-vCPU Xeon (median of 9 reads in
-# each of three processes, rows of 200 and of 10000 six-digit cells) the two
-# processes broke even at 1-2 MiB: at 1 MiB 13-25 against 11-19 ms, at 4 MiB
-# 40-55 against 45-70 ms, at 8 MiB 70-81 against 102-133 ms.
+# each of four processes, rows of 200 and of 10000 six-digit cells) the two
+# processes broke even at about 1 MiB: at 1 MiB 9-30 against 9-21 ms, at 4 MiB
+# 25-75 against 36-65 ms (faster in 7 of 8), at 8 MiB 50-73 against 72-115 ms.
+# Blocks alternate by rows, so in a file of a few blocks the parent can parse
+# one block more than the child.
 _SPLIT_BYTES = 4 * 2**20
 
 
@@ -221,12 +215,17 @@ def _parse_block(path: Path, block: list[tuple[int, str]], n_cols: int) -> np.nd
     return np.array(scanned, dtype=np.float64)
 
 
-def _parse_draws(path: Path, lines, n_cols: int, out: _Rows, row: int) -> int:
-    """Parse numbered draw lines into ``out`` from ``row`` on; return the row past the last."""
+def _parse_draws(path: Path, lines, n_cols: int, out: _Rows, parity: int | None = None) -> int:
+    """Parse numbered draw lines into ``out`` block by block; return the row count.
+
+    With a ``parity``, only the even (0) or the odd (1) blocks are parsed.
+    """
     block_rows = max(1, _BLOCK_CELLS // n_cols)
+    row = index = 0
     while block := list(itertools.islice(lines, block_rows)):
-        out.put(row, _parse_block(path, block, n_cols))
-        row += len(block)
+        if parity in (None, index % 2):
+            out.put(row, _parse_block(path, block, n_cols))
+        row, index = row + len(block), index + 1
     return row
 
 
@@ -242,30 +241,21 @@ def _header(path: Path, first: tuple[int, str] | None) -> list[str]:
     return ids
 
 
-def _parse_halves(path: Path, size: int) -> tuple[list[str], np.ndarray] | None:
+def _parse_in_two(path: Path, size: int) -> tuple[list[str], np.ndarray] | None:
     """``_parse_matrix`` in two processes, or ``None`` to read the file in one.
 
-    The file splits after the first line break past its byte midpoint. A
-    forked child parses the header and the draws before the split into a
-    shared buffer from row 0, and writes its row count into the buffer's
-    count word. Meanwhile this process counts those draws with the same
-    line rules, then parses the draws after the split from that row on.
-    Any failure, or counts that differ, returns ``None``: the read in one
-    process then raises the error of the first bad line in the file.
+    After the header, both processes walk every draw line in the same
+    blocks of ``_BLOCK_CELLS`` cells, so both know where each block's rows
+    go in the shared buffer. This process parses the even blocks. A forked
+    child parses the odd ones and writes its row total into the buffer's
+    count word. Any failure, or totals that differ, returns ``None``: the
+    read in one process then raises the error of the first bad line in the
+    file.
     """
     import signal  # only here, so that importing the CLI does not pay for it
 
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(size // 2)
-            split = size // 2 + len(fh.readline())
-    except OSError:
-        return None  # the read in one process says why
-    with contextlib.closing(_data_lines(path, 0, split)) as part:
-        first = next(part, None)
-        if first is None:  # the header is past the split
-            return None
-        header = _header(path, first)
+    with contextlib.closing(_data_lines(path)) as lines:
+        header = _header(path, next(lines, None))
         n_cols = len(header)
         try:
             out = _Rows(n_cols, size, fixed=True)
@@ -275,28 +265,23 @@ def _parse_halves(path: Path, size: int) -> tuple[list[str], np.ndarray] | None:
         if pid == 0:  # its own file: the parent's shares the parent's offset
             status = 1
             try:
-                with contextlib.closing(_data_lines(path, 0, split)) as own:
+                with contextlib.closing(_data_lines(path)) as own:
                     next(own)  # the header
-                    out.count = _parse_draws(path, own, n_cols, out, 0)
+                    out.count = _parse_draws(path, own, n_cols, out, parity=1)
                 status = 0
             finally:
                 os._exit(status)
-        parsed = False
+        rows = None
         try:
-            rows = sum(1 for _ in part)
-            # Lines are numbered from the split, so an error here is not
-            # raised: the read in one process finds it with its file line.
-            with contextlib.closing(_data_lines(path, split)) as rest:
-                end = _parse_draws(path, rest, n_cols, out, rows)
-            parsed = True
+            rows = _parse_draws(path, lines, n_cols, out, parity=0)
         except InputFormatError:
             pass
         finally:
-            if not parsed:
+            if rows is None:
                 os.kill(pid, signal.SIGKILL)
             status = os.waitpid(pid, 0)[1]
-    if parsed and status == 0 and out.count == rows:
-        return header, out.array(end)
+    if rows is not None and status == 0 and out.count == rows:
+        return header, out.array(rows)
     return None
 
 
@@ -310,7 +295,7 @@ def _parse_matrix(path: Path) -> tuple[list[str], np.ndarray]:
 
     The draws are parsed block by block into one ``_Rows`` buffer, sized
     from a regular file's size. A large regular file is parsed in two
-    processes (``_parse_halves``); a pipe is read in one.
+    processes (``_parse_in_two``); a pipe is read in one.
     """
     try:
         info = path.stat()
@@ -318,14 +303,14 @@ def _parse_matrix(path: Path) -> tuple[list[str], np.ndarray]:
         info = None  # opening the file says why
     size = info.st_size if info is not None and stat.S_ISREG(info.st_mode) else None
     if size is not None and size >= _SPLIT_BYTES and _cpus() > 1:
-        parsed = _parse_halves(path, size)
+        parsed = _parse_in_two(path, size)
         if parsed is not None:
             return parsed
     with contextlib.closing(_data_lines(path)) as lines:
         header = _header(path, next(lines, None))
         n_cols = len(header)
         out = _Rows(n_cols, size, fixed=False)
-        rows = _parse_draws(path, lines, n_cols, out, 0)
+        rows = _parse_draws(path, lines, n_cols, out)
     return header, out.array(rows)
 
 
@@ -344,7 +329,8 @@ def read_loglik_csv(
     the same bits, in a fraction of the time and memory of a per-cell loop.
     A block that ``loadtxt`` declines is re-scanned cell by cell from memory
     (``_parse_block``), so a pipe is read once, like a file. A large regular
-    file is parsed in two processes (``_parse_halves``).
+    file is parsed in two processes, each taking every other block
+    (``_parse_in_two``).
 
     The values are parsed into a fresh buffer, so the matrix adopts a view
     of it: it is frozen in place, not copied (``LogLikMatrix(values)``
@@ -522,7 +508,7 @@ def write_wapdi_svg(path, report: MismatchReport, seed: int, top_k: int | None =
 
 
 def read_group_labels_csv(path) -> dict[str, str]:
-    """Two-column id,label file mapping datapoints to groups."""
+    """Two-column id,label file mapping datapoints to groups, refusing empty cells."""
     path = Path(path)
     rows = list(_data_lines(path))
     out: dict[str, str] = {}
@@ -531,8 +517,10 @@ def read_group_labels_csv(path) -> dict[str, str]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
             raise InputFormatError(f"{path}: line {line_no} is not 'id,label'")
+        if "" in cells:
+            raise InputFormatError(f"{path}: line {line_no} has an empty id or label")
         if cells[0] in out:
-            raise InputFormatError(f"{path}: duplicate id {cells[0]!r}")
+            raise InputFormatError(f"{path}: duplicate id {cells[0]!r} at line {line_no}")
         out[cells[0]] = cells[1]
     return out
 

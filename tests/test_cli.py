@@ -356,7 +356,8 @@ class TestComputeCommand:
             g.write_text(text)
             rc = main(argv + ["--formats", "csv,ndjson,svg", "--out", str(out)])
             assert rc == 3
-            assert f"'{missing}' has no group label" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err == f"pdikit: error: {g}: datapoint '{missing}' has no group label\n"
             assert not out.exists()
 
     def test_groups_are_read_after_the_matrix_is_freed(self, matrix_file, tmp_path, monkeypatch):

@@ -100,7 +100,7 @@ def split_reads():
     Yields what each two-process read did, ``"parsed"`` or ``"fell back"``
     (to the read in one process). On exit no child process is left.
     """
-    outcomes, real = [], reportio._parse_halves
+    outcomes, real = [], reportio._parse_in_two
 
     def spy(path, size):
         parsed = real(path, size)
@@ -110,7 +110,7 @@ def split_reads():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reportio, "_SPLIT_BYTES", 0)
         mp.setattr(reportio, "_cpus", lambda: 2)
-        mp.setattr(reportio, "_parse_halves", spy)
+        mp.setattr(reportio, "_parse_in_two", spy)
         yield outcomes
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -454,9 +454,14 @@ class TestTwoProcessRead:
         row = data.draw(st.sampled_from([cells[k], cells[k] + ["1.0"], [*cells[k][1:], "oops"]]))
         lines[line_nos[k] - 1] = ",".join(row)
         path = write(tmp_path_factory.mktemp("m"), lines)
-        one = read_bits(path)
-        with split_reads() as outcomes:
-            two = read_bits(path)
+        # Blocks of 1, 2 or 3 draws, so that both processes parse, or of the real size.
+        n_cols = len(cells[0])
+        block_cells = data.draw(st.sampled_from([n_cols, 2 * n_cols, 3 * n_cols, 2**16]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reportio, "_BLOCK_CELLS", block_cells)
+            one = read_bits(path)
+            with split_reads() as outcomes:
+                two = read_bits(path)
         assert len(outcomes) == 1
         assert type(two) is type(one)
         if isinstance(one, str):
@@ -464,47 +469,68 @@ class TestTwoProcessRead:
         else:
             assert np.array_equal(two, one)
 
-    @pytest.mark.parametrize("bad_line", [5, 36], ids=["first-half", "second-half"])
-    def test_bad_cell_in_either_half(self, tmp_path, two_processes, bad_line):
+    def test_blocks_of_both_parities_read_as_in_one_process(self, tmp_path, monkeypatch):
+        lines = ["a,b,c"] + [f"-{i}.5,{LONG},-{i}e-3" if i % 7 else "# c" for i in range(1, 41)]
+        path = write(tmp_path, lines)
+        monkeypatch.setattr(reportio, "_BLOCK_CELLS", 3 * 4)  # blocks of 4 draws: 9 blocks
+        one = read_bits(path)
+        with split_reads() as outcomes:
+            two = read_bits(path)
+        assert outcomes == ["parsed"]
+        assert np.array_equal(two, one)
+        assert one.shape == (35, 3)
+
+    def test_one_block_leaves_the_child_nothing(self, tmp_path, two_processes):
+        path = write(tmp_path, ["a,b", "# c", "-1.5,-2", "", "-3e-7,-4"])
+        one = reportio.read_loglik_csv(path).values
+        assert two_processes == ["parsed"]
+        assert one.tolist() == [[-1.5, -2.0], [-3e-7, -4.0]]
+
+    @pytest.mark.parametrize("bad_line", [5, 9, 36], ids=["block-0", "block-1", "block-7"])
+    def test_bad_cell_in_either_parity(self, tmp_path, monkeypatch, two_processes, bad_line):
         lines = ["a,b,c"] + [f"-{i}.5,-2,-3" if i % 7 else "# c" for i in range(1, 41)]
         lines[bad_line - 1] = "-1,oops,-3"
         path = write(tmp_path, lines)
+        monkeypatch.setattr(reportio, "_BLOCK_CELLS", 3 * 4)  # blocks of 4 draws
         with pytest.raises(reportio.InputFormatError) as err:
             reportio.read_loglik_csv(path)
         assert str(err.value) == f"{path}: non-numeric value 'oops' at line {bad_line}, column 2"
         assert two_processes == ["fell back"]
 
-    def test_header_past_the_midpoint_reads_in_one_process(self, tmp_path, two_processes):
+    def test_header_after_long_comments_reads_in_two_processes(self, tmp_path, two_processes):
         # Over 4 MiB, so the two-process read is tried at its real size; the
-        # first half is comment lines, so the child would find no header.
+        # first half of the file is comment lines before the header.
         comments = ["# " + "c" * 1022] * 2400
         lines = ["a,b,c,d", *[f"-{i}.{i % 97},{LONG},-{i}e-3,-7" for i in range(1, 52000)]]
         path = write(tmp_path, comments + lines)
         size = path.stat().st_size
         assert size >= 4 * 2**20 and 1024 * len(comments) > size // 2
         two = read_bits(path)
-        assert two_processes == ["fell back"]
+        assert two_processes == ["parsed"]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reportio, "_cpus", lambda: 1)
             one = read_bits(path)
-        assert two_processes == ["fell back"]  # the second read did not try
+        assert two_processes == ["parsed"]  # the second read did not try
         assert np.array_equal(two, one)
         assert one.shape == (len(lines) - 1, 4)
 
-    @pytest.mark.parametrize("pad", range(0, 120, 4))
-    def test_breaks_next_to_the_midpoint(self, tmp_path, pad):
-        # The midpoint sweeps over every kind of break as the comment grows.
-        breaks = ["\n", "\r\n", "\f", "\u2028", "\r", "\n\n"]
-        text = "\ufeffa,b\r\n#" + "x" * pad + "\n"
-        text += "".join(f"-{i}.25,-{i}{breaks[i % len(breaks)]}" for i in range(1, 31))
+    @pytest.mark.parametrize("block_cells", range(0, 120, 4))
+    def test_breaks_next_to_the_midpoint(self, tmp_path, monkeypatch, block_cells):
+        # Blocks of 1 to 58 draws of 2 cells: as they grow, a block edge
+        # falls after every kind of break, and from 30 draws on the one edge
+        # is at or past the middle draw.
+        breaks = ["\n", "\r\n", "\f", "\u2028", "\r", "\n\n", "\x85"]
+        text = "\ufeffa,b\r\n# c\n"
+        text += "".join(f"-{i}.25,-{i}{breaks[i % len(breaks)]}" for i in range(1, 61))
         path = tmp_path / "m.csv"
         path.write_text(text, encoding="utf-8", newline="")
+        monkeypatch.setattr(reportio, "_BLOCK_CELLS", block_cells)
         one = read_bits(path)
         with split_reads() as outcomes:
             two = read_bits(path)
         assert outcomes == ["parsed"]
         assert np.array_equal(two, one)
-        assert one.shape == (30, 2)
+        assert one.shape == (60, 2)
 
 
 class TestMemoryAndOwnership:
@@ -607,7 +633,11 @@ class TestReaderLineNumbers:
                 ["id,wapdi", "a,1.0"],
                 "unexpected summary header ['id', 'wapdi']",
             ),
-            ("read_group_labels_csv", ["id,label", "a,g1", "# c", "a,g2"], "duplicate id 'a'"),
+            (
+                "read_group_labels_csv",
+                ["id,label", "a,g1", "# c", "a,g2"],
+                "duplicate id 'a' at line 4",
+            ),
             ("read_values_csv", [], "empty file"),
             ("read_values_csv", ["# c", "x"], "no numeric rows"),
             (
@@ -635,6 +665,8 @@ class TestReaderLineNumbers:
                 ["VOTE,sex,race,Age,state,age,vote,,", "1,0,0,3,ny,3,1,,"],
                 "line 1: repeated columns: '', 'age', 'vote'",
             ),
+            ("read_group_labels_csv", ["id,label", "a,g1", "b,"], "line 3 has an empty id or label"),
+            ("read_group_labels_csv", [" ,g1", "b,g2"], "line 1 has an empty id or label"),
         ],
     )
     def test_refusals(self, tmp_path, reader, lines, message):
