@@ -345,16 +345,15 @@ def simulate_toy_data(n: int, seed: int = 0) -> np.ndarray:
 # Hierarchical logistic regression
 # ---------------------------------------------------------------------------
 
-def _bernoulli_logit_loglik(y, eta):
-    """y log(sigmoid(eta)) + (1 - y) log(sigmoid(-eta)), element by element.
+def _bernoulli_logit_loglik(sign, eta):
+    """log sigmoid(sign * eta) for sign = 2 vote - 1, element by element.
 
-    Each term is the stable log sigmoid, -log1p(exp(-|x|)) + min(x, 0); the
-    two share the tail log1p(exp(-|eta|)), formed here once.
+    -(log1p(exp(-|eta|)) - min(sign eta, 0)) gives the bits of y log sigmoid(eta)
+    + (1 - y) log sigmoid(-eta), signed zeros too. It runs once per likelihood
+    cell: log_joint costs O(cells); only pointwise_row gathers to the N respondents.
     """
     tail = np.log1p(np.exp(-np.abs(eta)))
-    return y * np.where(eta >= 0, -tail, eta - tail) + (1.0 - y) * np.where(
-        eta <= 0, -tail, -eta - tail
-    )
+    return -(tail - np.minimum(sign * eta, 0.0))
 
 
 HIER_VARIANTS = ("base", "with_age", "with_edu")
@@ -407,12 +406,12 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
     sampled through a log transform.
 
     A respondent's likelihood depends only on its cell, the tuple (vote,
-    female, black, state[, age/edu]). The model keeps one covariate row per
-    distinct cell and each respondent's cell index, so a target call costs
-    O(cells) plus one length-N gather: the synthetic tables have 60 cells for
-    base and 219 for with_age at N = 2000, and 244 for with_edu at N = 5000.
-    Each respondent's value is the same float as a per-respondent evaluation,
-    and the cells are the ModelSpec's likelihood cells.
+    female, black, state[, age/edu]). The model keeps each distinct cell's
+    covariates and respondent count, and each respondent's cell, so log_joint
+    costs O(cells) and only pointwise_row gathers to N: the synthetic tables
+    have 60 cells for base and 219 for with_age at N = 2000, and 244 for
+    with_edu at N = 5000. Each respondent's value is the same float as a
+    per-respondent evaluation; the cells are the ModelSpec's likelihood cells.
 
     Constrained layout: [beta_female, beta_black], then for each group (the
     state, then age or edu) [mu, sigma, alpha (levels)].
@@ -435,7 +434,8 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
     for column, radix in digits:
         code = code * radix + column.astype(np.int64)
     _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    y = table.vote[first].astype(np.float64)
+    sign = 2.0 * table.vote[first] - 1.0
+    count = np.bincount(inverse).astype(np.float64)
     female = table.female[first].astype(np.float64)
     black = table.black[first].astype(np.float64)
 
@@ -451,14 +451,13 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         prior_mean += [0.0, half_normal_mean] + [0.0] * n
         off += 2 + n
 
-    # Each function takes a (..., P) theta or batch of thetas. Per-cell and
-    # per-respondent values are gathered with np.take, which keeps them
-    # C-ordered, so each theta's sum over its row is the sum of a lone row.
-    def linear_predictor(theta):
+    # Each function takes a (..., P) theta or batch of thetas. Every array is
+    # C-ordered (np.take keeps it so): a batch row sums as a lone row does.
+    def by_cell(theta):
         eta = theta[..., 0:1] * female + theta[..., 1:2] * black
         for _, _, alpha_idx in groups:
             eta = eta + np.take(theta, alpha_idx, axis=-1)
-        return eta
+        return _bernoulli_logit_loglik(sign, eta)
 
     log_hyper = np.log(_HYPER_SCALE)
     half_log_2pi = 0.5 * np.log(2.0 * np.pi)
@@ -486,10 +485,10 @@ def hier_logreg_model(table: VoteTable, variant: str = "base") -> ModelSpec:
         return lp
 
     def pointwise_row(theta):
-        return np.take(_bernoulli_logit_loglik(y, linear_predictor(theta)), inverse, axis=-1)
+        return np.take(by_cell(theta), inverse, axis=-1)
 
     def log_joint(theta):
-        return log_prior(theta) + pointwise_row(theta).sum(axis=-1)
+        return log_prior(theta) + (by_cell(theta) * count).sum(axis=-1)
 
     return ModelSpec(
         name=f"hier-logreg-{variant}",

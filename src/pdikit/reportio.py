@@ -215,15 +215,20 @@ def _parse_block(path: Path, block: list[tuple[int, str]], n_cols: int) -> np.nd
     return np.array(scanned, dtype=np.float64)
 
 
-def _parse_draws(path: Path, lines, n_cols: int, out: _Rows, parity: int | None = None) -> int:
+def _parse_draws(
+    path: Path, lines, n_cols: int, out: _Rows, parity: int | None = None, stop=None
+) -> int:
     """Parse numbered draw lines into ``out`` block by block; return the row count.
 
     With a ``parity``, only the even (0) or the odd (1) blocks are parsed.
+    A ``stop()`` that is true before one of them ends the walk there.
     """
     block_rows = max(1, _BLOCK_CELLS // n_cols)
     row = index = 0
     while block := list(itertools.islice(lines, block_rows)):
         if parity in (None, index % 2):
+            if stop is not None and stop():
+                break
             out.put(row, _parse_block(path, block, n_cols))
         row, index = row + len(block), index + 1
     return row
@@ -248,9 +253,10 @@ def _parse_in_two(path: Path, size: int) -> tuple[list[str], np.ndarray] | None:
     blocks of ``_BLOCK_CELLS`` cells, so both know where each block's rows
     go in the shared buffer. This process parses the even blocks. A forked
     child parses the odd ones and writes its row total into the buffer's
-    count word. Any failure, or totals that differ, returns ``None``: the
-    read in one process then raises the error of the first bad line in the
-    file.
+    count word. Before each of its blocks this process asks whether the
+    child has exited, and stops at once if it failed. Any failure, or totals
+    that differ, returns ``None``: the read in one process then raises the
+    error of the first bad line in the file.
     """
     import signal  # only here, so that importing the CLI does not pay for it
 
@@ -271,9 +277,14 @@ def _parse_in_two(path: Path, size: int) -> tuple[list[str], np.ndarray] | None:
                 status = 0
             finally:
                 os._exit(status)
+
+        def child_failed() -> bool:  # without reaping it, which is left to the end
+            exited = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            return exited is not None and exited.si_status != 0
+
         rows = None
         try:
-            rows = _parse_draws(path, lines, n_cols, out, parity=0)
+            rows = _parse_draws(path, lines, n_cols, out, parity=0, stop=child_failed)
         except InputFormatError:
             pass
         finally:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,7 +486,7 @@ class TestLogSigmoid:
         )
         for y in (np.zeros(eta.size), np.ones(eta.size), rng.integers(0, 2, eta.size) * 1.0):
             want = y * log_sigmoid(eta) + (1.0 - y) * log_sigmoid(-eta)
-            got = models._bernoulli_logit_loglik(y, eta)
+            got = models._bernoulli_logit_loglik(2 * y - 1, eta)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -657,7 +658,13 @@ def every_cell_table(n_states, n_extra, extra="edu"):
 
 
 class TestHierLogRegCells:
-    """The cell-wise target gives each respondent the bits of a per-respondent evaluation."""
+    """The cell-wise target gives each respondent the bits of a per-respondent evaluation.
+
+    ``log_joint`` adds each cell's value once, weighted by its respondent
+    count: bitwise the sum of a cell-count oracle, and within 4 eps relative
+    of the per-respondent sum, which adds the same terms in another order
+    (1.7 eps is the largest gap seen on these thetas).
+    """
 
     def _thetas(self, model, table):
         rng = np.random.default_rng(17)
@@ -678,13 +685,18 @@ class TestHierLogRegCells:
     def _check(self, table, variant):
         model = models.hier_logreg_model(table, variant)
         row, prior, joint = per_respondent_target(table, variant)
+        _, first, cells = np.unique(model.cells, return_index=True, return_inverse=True)
         assert model.data_count == table.n
         for theta in self._thetas(model, table):
             got = model.pointwise_row(theta)
             assert got.shape == (table.n,)
             assert same_bits(got, row(theta))
             assert same_bits(model.log_prior(theta), prior(theta))
-            assert same_bits(model.log_joint(theta), joint(theta))
+            by_count = prior(theta) + (row(theta)[first] * np.bincount(cells)).sum()
+            assert same_bits(model.log_joint(theta), by_count)
+            np.testing.assert_allclose(
+                model.log_joint(theta), joint(theta), rtol=4 * np.finfo(float).eps, atol=0
+            )
 
     @pytest.mark.parametrize("variant", models.HIER_VARIANTS)
     def test_simulated_tables(self, variant):
@@ -721,11 +733,31 @@ class TestHierLogRegCells:
         table, _ = models.simulate_votes(200, seed=1)
         model = models.hier_logreg_model(table)
         theta = self._thetas(model, table)[1]
-        first = model.pointwise_row(theta)
+        first, joint = model.pointwise_row(theta), model.log_joint(theta)
         want = first.copy()
         first[:] = 0.0
         assert same_bits(model.pointwise_row(theta), want)
-        assert same_bits(model.log_joint(theta), per_respondent_target(table, "base")[2](theta))
+        assert same_bits(model.log_joint(theta), joint)
+
+    def test_only_pointwise_row_gathers_to_the_respondents(self):
+        table, _ = models.simulate_votes(20000, seed=2)
+        model = models.hier_logreg_model(table)
+        rng = np.random.default_rng(5)
+        z = model.transform.unconstrain(model.prior_mean) + rng.normal(size=(8, model.dim))
+        theta = model.transform.constrain(z)
+        gathered = 8 * table.n * 8  # bytes of one (8, N) float64 array
+
+        def peak(target):
+            tracemalloc.start()
+            try:
+                target(theta)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # log_joint's arrays are (8, cells), with 64 cells here: a few KB.
+        assert peak(model.log_joint) < gathered / 20
+        assert peak(model.pointwise_row) >= gathered
 
 
 def _built_in_models():

@@ -497,6 +497,28 @@ class TestTwoProcessRead:
         assert str(err.value) == f"{path}: non-numeric value 'oops' at line {bad_line}, column 2"
         assert two_processes == ["fell back"]
 
+    def test_a_failed_child_stops_this_process(self, tmp_path, monkeypatch, two_processes):
+        lines = ["a,b"] + [f"-{i}.5,-2" for i in range(1, 41)]
+        lines[3] = "-1,oops"  # line 4, in block 1: the child's first block
+        path = write(tmp_path, lines)
+        monkeypatch.setattr(reportio, "_BLOCK_CELLS", 2 * 2)  # 20 blocks of 2 draws
+        parent, parsed, real = os.getpid(), [], reportio._parse_block
+
+        def spy(path, block, n_cols):
+            if os.getpid() == parent:
+                if not parsed:  # wait for the child to exit, leaving it to be reaped
+                    os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+                parsed.append(block[0][0])
+            return real(path, block, n_cols)
+
+        monkeypatch.setattr(reportio, "_parse_block", spy)
+        with pytest.raises(reportio.InputFormatError) as err:
+            reportio.read_loglik_csv(path)
+        assert str(err.value) == f"{path}: non-numeric value 'oops' at line 4, column 2"
+        assert two_processes == ["fell back"]
+        # Block 0 of this process's 10, then blocks 0 and 1 read in one process.
+        assert parsed == [2, 2, 4]
+
     def test_header_after_long_comments_reads_in_two_processes(self, tmp_path, two_processes):
         # Over 4 MiB, so the two-process read is tried at its real size; the
         # first half of the file is comment lines before the header.
